@@ -37,8 +37,7 @@ from .quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    IsoLink,
-    RankOneLink,
+    Link,
     StratumRecord,
     enumerate_coprofiles,
     fixed_locus_summary,
@@ -87,8 +86,7 @@ __all__ = [
     "ConstraintSystem",
     "Coprofile",
     "FixedLocusSummary",
-    "IsoLink",
-    "RankOneLink",
+    "Link",
     "StratumRecord",
     "enumerate_coprofiles",
     "fixed_locus_summary",

@@ -24,18 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _box_triple
 
 
 class GuardExceeded(RuntimeError):
     """An enumeration was asked to exceed its configured size guard."""
-
-
-def _triple(v) -> tuple[int, int, int]:
-    v1, v2, v3 = (int(c) for c in v)
-    if min(v1, v2, v3) < 1:
-        raise ValueError("box sides must be >= 1")
-    return v1, v2, v3
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class PlanePartition:
         return frozenset(out)
 
     def fits_in_box(self, v) -> bool:
-        v1, v2, v3 = _triple(v)
+        v1, v2, v3 = _box_triple(v)
         if len(self.rows) > v1:
             return False
         if self.rows and len(self.rows[0]) > v2:
@@ -178,7 +171,7 @@ def count_box_partitions(v, n: int) -> int:
     Counts by direct enumeration; this is the brute-force reference for
     the DP and the product formula.
     """
-    v1, v2, v3 = _triple(v)
+    v1, v2, v3 = _box_triple(v)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > v1 * v2 * v3:
@@ -195,7 +188,7 @@ def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSe
     previous.  The state count is C(v2+v3, v2) and is checked against
     state_guard before any state is generated.
     """
-    v1, v2, v3 = _triple(v)
+    v1, v2, v3 = _box_triple(v)
     nstates = math.comb(v2 + v3, v2)
     if nstates > state_guard:
         raise GuardExceeded(
@@ -256,7 +249,7 @@ class MonomialIdeal:
             if min(g) < 0:
                 raise ValueError("exponents must be >= 0")
         if self.box is not None:
-            v = _triple(self.box)
+            v = _box_triple(self.box)
             object.__setattr__(self, "box", v)
             for g in gens:
                 if any(g[i] >= v[i] for i in range(3)):
@@ -321,7 +314,7 @@ def partition_to_monomial_ideal(pp: PlanePartition, box=None) -> MonomialIdeal:
     """
     lam = pp.boxes()
     if box is not None:
-        v = _triple(box)
+        v = _box_triple(box)
         if not pp.fits_in_box(v):
             raise ValueError("partition does not fit in the box")
         bounds = v
@@ -354,7 +347,7 @@ def enumerate_box_monomial_ideals(v, guard: int = 1 << 16) -> list[MonomialIdeal
     antichain (the empty antichain is the zero ideal).  Guarded by the
     number of box cells: 2^cells is a crude ceiling on the search.
     """
-    v1, v2, v3 = _triple(v)
+    v1, v2, v3 = _box_triple(v)
     cells = sorted(itertools.product(range(v1), range(v2), range(v3)))
     if 2 ** len(cells) > guard:
         raise GuardExceeded(f"antichain search over {len(cells)} cells exceeds guard")

@@ -15,16 +15,17 @@ forced by the module structure, since away from the generator degrees the
 fiber of R0 is spanned by the images of its three predecessors, so a
 dimension drop at w entails one at some predecessor.
 
-The constraint system of a stratum records how multiplication maps tie
-the line variables together: forcings to a fixed line, rank-2 links
-(target line determined by source line), rank-1 disjunctions (source in
-the kernel or target equal to the image), or outright infeasibility.
-``stratum_euler`` evaluates the Euler characteristic of the stratum
-exactly by propagating forcings, resolving disjunctions by inclusion and
-exclusion, and contracting rank-2 links; leftover loops contribute the
-number of common fixed lines of the loop maps, computed as common
-projective roots of binary quadratics, and free lines contribute a factor
-of 2 each.
+R0 has 2-dimensional fibers exactly on the cone w >= v, all in the fixed
+basis (class of e1, class of e2), so multiplication between two of them
+is the identity.  Every line variable sits on that cone, and the
+constraint system of a stratum is correspondingly plain: some variables
+are forced to the image line of a 1-dimensional neighbor, some pairs of
+variables are linked (they must be the same line), or the stratum is
+infeasible because a map leaves too little room in its target.
+``stratum_euler`` evaluates such a system exactly: the links split the
+variables into components, a component forced to two different lines
+makes the stratum empty, and otherwise every unforced component is a free
+P^1, so the Euler characteristic is 0 or 2^(free components).
 
 ``stratum_euler_oracle_fp`` recomputes the same number independently by
 counting points over several prime fields and interpolating the count
@@ -41,14 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import GuardExceeded
-from .reflexive import ReflexiveParams, fiber_dim, mult_matrix
+from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
 from .series import TruncatedSeries
 
-Weight = tuple[int, int, int]
 Point = tuple[int, int]
-
-_E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_ID = ((1, 0), (0, 1))
 
 
 def _normalize_point(x: int, y: int) -> Point:
@@ -60,53 +57,6 @@ def _normalize_point(x: int, y: int) -> Point:
     if x < 0 or (x == 0 and y < 0):
         x, y = -x, -y
     return (x, y)
-
-
-def _apply(mat, pt):
-    return tuple(sum(row[j] * pt[j] for j in range(len(pt))) for row in mat)
-
-
-def _adj(m):
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def _rank(mat) -> int:
-    rows = [r for r in mat if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            for a in range(ncols):
-                for b in range(a + 1, ncols):
-                    if rows[i][a] * rows[j][b] - rows[i][b] * rows[j][a]:
-                        return 2
-    return 1
-
-
-def _kernel_line(mat) -> Point:
-    """Kernel of a rank-1 matrix with two columns."""
-    for (a, b) in mat:
-        if a or b:
-            return _normalize_point(b, -a)
-    raise ValueError("zero matrix has no kernel line")
-
-
-def _image_line(mat) -> Point:
-    """Image of a rank-1 matrix with two rows."""
-    for c in range(len(mat[0])):
-        x, y = mat[0][c], mat[1][c]
-        if x or y:
-            return _normalize_point(x, y)
-    raise ValueError("zero matrix has no image line")
 
 
 @dataclass(frozen=True)
@@ -227,26 +177,16 @@ def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     return sorted(out, key=lambda p: p.entries)
 
 
-@dataclass(frozen=True)
-class IsoLink:
-    """Target line is the image of the source line under a rank-2 map."""
+@dataclass(frozen=True, order=True)
+class Link:
+    """F_source and F_target must be the same line.
+
+    Both ends are line variables on the cone w >= v, where multiplication
+    from source to target is the identity in the fixed fiber basis.
+    """
 
     source: Weight
     target: Weight
-    direction: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class RankOneLink:
-    """Source line in the kernel, or target line equal to the image."""
-
-    source: Weight
-    target: Weight
-    direction: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    kernel: Point
-    image: Point
 
 
 @dataclass
@@ -254,14 +194,14 @@ class ConstraintSystem:
     """Incidence constraints of one coprofile stratum.
 
     variables lists the weights whose F_w is a free line (a P^1 each);
-    fixed_lines are forcings already implied by full neighboring fibers;
-    infeasible is set when a required containment can never hold.
+    fixed_lines forces some of them to a line, as a normalized point;
+    links ties pairs of them to the same line; infeasible is set when a
+    required containment can never hold.
     """
 
     variables: tuple[Weight, ...]
     fixed_lines: dict[Weight, Point]
-    iso_links: tuple[IsoLink, ...]
-    rank_one_links: tuple[RankOneLink, ...]
+    links: tuple[Link, ...]
     infeasible: bool = False
 
 
@@ -269,16 +209,17 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     """Build the constraint system of one coprofile.
 
     For every support weight w and direction k the multiplication map from
-    w - e_k must carry F_{w-e_k} into F_w.  Depending on which side is a
-    full fiber, a forced subspace or a free line, this yields nothing, a
-    forcing, a rank-2 link, a rank-1 disjunction, or infeasibility.
+    w - e_k must carry F_{w-e_k} into F_w.  Every such map has rank equal
+    to its source dimension, so only dimensions decide the outcome: a full
+    1-dimensional source forces a free target line to its image, a free
+    line source links to a free target line, and any other nonzero source
+    leaves too little room in the target, making the stratum infeasible.
     """
     params = ReflexiveParams.of(v)
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
-    isos: list[IsoLink] = []
-    rank_ones: list[RankOneLink] = []
+    links: list[Link] = []
     infeasible = False
 
     for w, c in profile.entries:
@@ -288,260 +229,54 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
         if d == 2 and c == 1:
             variables.append(w)
 
-    def force(wt: Weight, pt: Point) -> None:
-        nonlocal infeasible
-        cur = fixed.get(wt)
-        if cur is None:
-            fixed[wt] = pt
-        elif cur != pt:
-            infeasible = True
-
     for wt, ct in profile.entries:
-        dt = fiber_dim(params, wt)
-        free_t = dt - ct
+        free_t = fiber_dim(params, wt) - ct
         for k in (1, 2, 3):
             ws = (wt[0] - _E[k - 1][0], wt[1] - _E[k - 1][1], wt[2] - _E[k - 1][2])
             if min(ws) < 0:
                 continue
             ds = fiber_dim(params, ws)
-            if ds == 0:
-                continue
             cs = drops.get(ws, 0)
-            if ds - cs == 0:
-                continue  # source fiber fully removed, no condition
-            mat = mult_matrix(params, ws, k).matrix
-            r = _rank(mat)
-            if r == 0:
-                continue
-            if cs == 0:
-                # full source fiber pushes its whole image into F_wt
-                if free_t == 0 or r == 2:
+            if ds == cs:
+                continue  # zero or fully removed source fiber, no condition
+            if free_t == 1 and ds == 1:
+                (x,), (y,) = mult_matrix(params, ws, k).matrix
+                line = _normalize_point(x, y)
+                if fixed.setdefault(wt, line) != line:
                     infeasible = True
-                else:
-                    force(wt, _image_line(mat))
+            elif free_t == 1 and cs == 1:
+                links.append(Link(ws, wt))
             else:
-                # source is a free line variable (ds == 2, cs == 1)
-                if free_t == 0:
-                    if r == 2:
-                        infeasible = True
-                    else:
-                        force(ws, _kernel_line(mat))
-                elif r == 2:
-                    isos.append(IsoLink(ws, wt, k, mat))
-                else:
-                    rank_ones.append(
-                        RankOneLink(
-                            ws, wt, k, mat, _kernel_line(mat), _image_line(mat)
-                        )
-                    )
+                infeasible = True
 
     return ConstraintSystem(
         variables=tuple(sorted(variables)),
         fixed_lines=fixed,
-        iso_links=tuple(sorted(isos, key=lambda l: (l.source, l.target, l.direction))),
-        rank_one_links=tuple(
-            sorted(rank_ones, key=lambda l: (l.source, l.target, l.direction))
-        ),
+        links=tuple(sorted(links)),
         infeasible=infeasible,
     )
-
-
-def _propagate(fixed, isos, rank_ones):
-    """Push forcings through links until stable.
-
-    Returns (fixed, isos, rank_ones) with consumed links removed, or None
-    when a contradiction appears.
-    """
-    changed = True
-    while changed:
-        changed = False
-        keep = []
-        for (s, t, m) in isos:
-            ps, pt = fixed.get(s), fixed.get(t)
-            if ps is None and pt is None:
-                keep.append((s, t, m))
-                continue
-            if ps is not None:
-                q = _normalize_point(*_apply(m, ps))
-                if pt is None:
-                    fixed[t] = q
-                    changed = True
-                elif pt != q:
-                    return None
-            else:
-                fixed[s] = _normalize_point(*_apply(_adj(m), pt))
-                changed = True
-        isos = keep
-        keep = []
-        for (s, t, m, ker, im) in rank_ones:
-            ps, pt = fixed.get(s), fixed.get(t)
-            if (ps is not None and ps == ker) or (pt is not None and pt == im):
-                continue  # satisfied, drop
-            if ps is None and pt is None:
-                keep.append((s, t, m, ker, im))
-                continue
-            if ps is not None and pt is not None:
-                return None  # neither disjunct holds
-            if ps is not None:
-                fixed[t] = im
-            else:
-                fixed[s] = ker
-            changed = True
-        rank_ones = keep
-    return fixed, isos, rank_ones
-
-
-def _loop_form(u, w):
-    """Binary quadratic vanishing where u(p) is parallel to w(p)."""
-    a = u[0][0] * w[1][0] - u[1][0] * w[0][0]
-    b = (
-        u[0][0] * w[1][1]
-        + u[0][1] * w[1][0]
-        - u[1][0] * w[0][1]
-        - u[1][1] * w[0][0]
-    )
-    c = u[0][1] * w[1][1] - u[1][1] * w[0][1]
-    return (a, b, c)
-
-
-def _poly_gcd(p, q):
-    """Gcd of two integer polynomials (coefficient tuples, high power
-    first), returned primitive with positive leading coefficient."""
-
-    def strip(r):
-        r = list(r)
-        while r and r[0] == 0:
-            r.pop(0)
-        return r
-
-    fa = [Fraction(c) for c in strip(p)]
-    fb = [Fraction(c) for c in strip(q)]
-    while fb:
-        # remainder of fa by fb
-        rem = fa[:]
-        while len(rem) >= len(fb) and rem:
-            factor = rem[0] / fb[0]
-            for i in range(len(fb)):
-                rem[i] -= factor * fb[i]
-            rem.pop(0)
-            while rem and rem[0] == 0:
-                rem.pop(0)
-        fa, fb = fb, rem
-    den = math.lcm(*(c.denominator for c in fa)) if fa else 1
-    ints = [int(c * den) for c in fa]
-    content = math.gcd(*(abs(c) for c in ints)) if ints else 0
-    if content:
-        ints = [c // content for c in ints]
-    if ints and ints[0] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
-def _common_fixed_lines(forms) -> int:
-    """Distinct common projective roots of nonzero binary quadratics.
-
-    Works over the complex numbers: a quadratic with nonzero discriminant
-    has two roots whether or not they are rational.
-    """
-    at_infinity = all(f[0] == 0 for f in forms)
-    # gcd of a form with itself just strips and normalizes it
-    acc = _poly_gcd(forms[0], forms[0])
-    for f in forms[1:]:
-        acc = _poly_gcd(acc, f)
-    finite = 0
-    if len(acc) == 3:
-        a, b, c = acc
-        finite = 2 if b * b - 4 * a * c != 0 else 1
-    elif len(acc) == 2:
-        finite = 1
-    return finite + (1 if at_infinity else 0)
 
 
 def stratum_euler(cs: ConstraintSystem) -> int:
     """Exact Euler characteristic of one coprofile stratum."""
     if cs.infeasible:
         return 0
-    isos = tuple((l.source, l.target, l.matrix) for l in cs.iso_links)
-    rank_ones = tuple(
-        (l.source, l.target, l.matrix, l.kernel, l.image)
-        for l in cs.rank_one_links
-    )
-    memo: dict = {}
-    return _stratum_euler_rec(
-        tuple(sorted(cs.variables)), dict(cs.fixed_lines), isos, rank_ones, memo
-    )
-
-
-def _stratum_euler_rec(variables, fixed, isos, rank_ones, memo) -> int:
-    state = _propagate(dict(fixed), list(isos), list(rank_ones))
-    if state is None:
-        return 0
-    fixed, isos, rank_ones = state
-    key = (
-        tuple(sorted(fixed.items())),
-        tuple(sorted(isos)),
-        tuple(sorted(rank_ones)),
-        variables,
-    )
-    if key in memo:
-        return memo[key]
-
-    if rank_ones:
-        s, t, m, ker, im = sorted(rank_ones)[0]
-        rest = tuple(r for r in rank_ones if r != (s, t, m, ker, im))
-        left = _stratum_euler_rec(variables, {**fixed, s: ker}, isos, rest, memo)
-        right = _stratum_euler_rec(variables, {**fixed, t: im}, isos, rest, memo)
-        if s == t:
-            both = left if ker == im else 0
-        else:
-            both = _stratum_euler_rec(
-                variables, {**fixed, s: ker, t: im}, isos, rest, memo
-            )
-        memo[key] = left + right - both
-        return memo[key]
-
-    # only rank-2 links remain, and only between unfixed variables
-    unfixed = [w for w in variables if w not in fixed]
-    parent = {w: w for w in unfixed}
-    trans = {w: _ID for w in unfixed}
+    parent = {w: w for w in cs.variables}
 
     def find(x):
-        if parent[x] == x:
-            return x
-        root = find(parent[x])
-        if parent[x] != root:
-            trans[x] = _mat_mul(trans[x], trans[parent[x]])
-            parent[x] = root
-        return root
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    for (s, t, m) in isos:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            # point(t) = m.point(s) glues the two trees
-            trans[rt] = _mat_mul(_adj(trans[t]), _mat_mul(m, trans[s]))
-            parent[rt] = rs
-
-    forms: dict[Weight, list] = {}
-    for (s, t, m) in isos:
-        root = find(s)
-        assert find(t) == root  # compresses t's path before reading trans[t]
-        form = _loop_form(trans[t], _mat_mul(m, trans[s]))
-        if form != (0, 0, 0):
-            forms.setdefault(root, []).append(form)
-
-    result = 1
-    for root in {find(x) for x in unfixed}:
-        fs = forms.get(root)
-        if not fs:
-            result *= 2
-        else:
-            cnt = _common_fixed_lines(fs)
-            if cnt == 0:
-                result = 0
-                break
-            result *= cnt
-    memo[key] = result
-    return result
+    for link in cs.links:
+        parent[find(link.source)] = find(link.target)
+    forced: dict[Weight, Point] = {}
+    for w, line in cs.fixed_lines.items():
+        if forced.setdefault(find(w), line) != line:
+            return 0
+    free = sum(1 for w in cs.variables if find(w) == w and w not in forced)
+    return 2**free
 
 
 def _interp_coeffs(xs, ys):
@@ -575,8 +310,8 @@ def stratum_euler_oracle_fp(
     Counts solutions in a product of P^1(F_p), fits the counts by a
     polynomial in p of degree at most the number of variables, and
     evaluates at p = 1.  Primes must be pairwise distinct, at least one
-    more than the variable count, and larger than any matrix entry so the
-    reductions stay faithful.
+    more than the variable count, and large enough that distinct forced
+    lines stay distinct modulo p.
     """
     if cs.infeasible:
         return 0
@@ -591,31 +326,19 @@ def stratum_euler_oracle_fp(
 
     index = {w: i for i, w in enumerate(cs.variables)}
     fixed = [(index[w], pt) for w, pt in cs.fixed_lines.items()]
-    links = [
-        (index[l.source], index[l.target], l.matrix)
-        for l in (*cs.iso_links, *cs.rank_one_links)
-    ]
+    links = [(index[l.source], index[l.target]) for l in cs.links]
 
     counts = []
     for p in primes:
+        # one canonical representative per point of P^1(F_p)
         points = [(1, t) for t in range(p)] + [(0, 1)]
         total = 0
         for assign in itertools.product(points, repeat=m):
-            ok = True
-            for i, pt in fixed:
-                x, y = assign[i]
-                if (x * pt[1] - y * pt[0]) % p:
-                    ok = False
-                    break
-            if ok:
-                for si, ti, mat in links:
-                    img = _apply(mat, assign[si])
-                    x, y = assign[ti]
-                    if (img[0] * y - img[1] * x) % p:
-                        ok = False
-                        break
-            if ok:
-                total += 1
+            ok = all(
+                (assign[i][0] * pt[1] - assign[i][1] * pt[0]) % p == 0
+                for i, pt in fixed
+            ) and all(assign[si] == assign[ti] for si, ti in links)
+            total += ok
         counts.append(total)
 
     coeffs = _interp_coeffs(primes, counts)

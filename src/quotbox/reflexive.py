@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass
 
 from .partitions import MonomialIdeal
+from .series import _box_triple
 
 Weight = tuple[int, int, int]
 
@@ -50,16 +51,13 @@ class ReflexiveParams:
     v3: int
 
     def __post_init__(self):
-        for c in (self.v1, self.v2, self.v3):
-            if not isinstance(c, int) or c < 1:
-                raise ValueError("v components must be integers >= 1")
+        _box_triple(self)
 
     @classmethod
     def of(cls, v) -> "ReflexiveParams":
         if isinstance(v, cls):
             return v
-        v1, v2, v3 = (int(c) for c in v)
-        return cls(v1, v2, v3)
+        return cls(*_box_triple(v))
 
     def __iter__(self):
         yield self.v1

@@ -210,9 +210,10 @@ def macmahon(order: int) -> TruncatedSeries:
 
 
 def _box_triple(v) -> tuple[int, int, int]:
-    v1, v2, v3 = (int(c) for c in v)
-    if min(v1, v2, v3) < 1:
-        raise ValueError("box sides must be >= 1")
+    """The triple v as three ints >= 1; anything else is a ValueError."""
+    v1, v2, v3 = v
+    if not all(isinstance(c, int) and c >= 1 for c in (v1, v2, v3)):
+        raise ValueError("box sides must be integers >= 1")
     return v1, v2, v3
 
 

@@ -9,8 +9,7 @@ from quotbox.quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    IsoLink,
-    RankOneLink,
+    Link,
     enumerate_coprofiles,
     fixed_locus_summary,
     profile_constraint_system,
@@ -27,12 +26,11 @@ GOLDEN_SERIES = load_coeff_table("quot_series.txt")
 GRID = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2), (1, 2, 3)]
 
 
-def system(variables=(), fixed=None, isos=(), rank_ones=(), infeasible=False):
+def system(variables=(), fixed=None, links=(), infeasible=False):
     return ConstraintSystem(
         variables=tuple(variables),
         fixed_lines=dict(fixed or {}),
-        iso_links=tuple(isos),
-        rank_one_links=tuple(rank_ones),
+        links=tuple(Link(s, t) for s, t in links),
         infeasible=infeasible,
     )
 
@@ -40,14 +38,6 @@ def system(variables=(), fixed=None, isos=(), rank_ones=(), infeasible=False):
 W0 = (0, 0, 0)
 W1 = (1, 0, 0)
 W2 = (0, 1, 0)
-
-
-def iso(s, t, m):
-    return IsoLink(s, t, 1, m)
-
-
-def rank1(s, t, m, ker, im):
-    return RankOneLink(s, t, 1, m, ker, im)
 
 
 def test_coprofile_validation():
@@ -120,7 +110,7 @@ def test_generator_singleton_system():
     cs = profile_constraint_system((1, 1, 1), Coprofile((((1, 1, 0), 1),)))
     assert not cs.infeasible
     assert cs.variables == ()
-    assert cs.iso_links == () and cs.rank_one_links == ()
+    assert cs.links == ()
     assert stratum_euler(cs) == 1
     assert stratum_euler_oracle_fp(cs) == 1
 
@@ -152,113 +142,50 @@ def test_empty_system_and_fixed_points():
 
 
 def test_iso_link_pairs():
-    m = ((1, 1), (0, 1))
-    cs = system(variables=[W0, W1], isos=[iso(W0, W1, m)])
+    cs = system(variables=[W0, W1], links=[(W0, W1)])
     assert stratum_euler(cs) == 2
     # forcing one endpoint pins the other through the link
-    cs2 = system(variables=[W0, W1], fixed={W0: (1, 1)}, isos=[iso(W0, W1, m)])
+    cs2 = system(variables=[W0, W1], fixed={W0: (1, 1)}, links=[(W0, W1)])
     assert stratum_euler(cs2) == 1
-    cs3 = system(variables=[W0, W1], fixed={W1: (1, 0)}, isos=[iso(W0, W1, m)])
+    cs3 = system(variables=[W0, W1], fixed={W1: (1, 0)}, links=[(W0, W1)])
     assert stratum_euler(cs3) == 1
     # inconsistent forcings on both ends kill the stratum
     cs4 = system(
-        variables=[W0, W1],
-        fixed={W0: (1, 0), W1: (0, 1)},
-        isos=[iso(W0, W1, ((1, 0), (0, 1)))],
+        variables=[W0, W1], fixed={W0: (1, 0), W1: (0, 1)}, links=[(W0, W1)]
     )
     assert stratum_euler(cs4) == 0
-
-
-def test_parallel_iso_loops():
-    ident = ((1, 0), (0, 1))
-    # second link forces the line to be an eigenline of the second matrix
-    split = ((2, 0), (0, 3))
-    cs = system(
-        variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, split)]
-    )
-    assert stratum_euler(cs) == 2
-    jordan = ((1, 1), (0, 1))
-    cs2 = system(
-        variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, jordan)]
-    )
-    assert stratum_euler(cs2) == 1
-    rotation = ((0, -1), (1, 0))
-    cs3 = system(
-        variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, rotation)]
-    )
-    assert stratum_euler(cs3) == 2  # two complex fixed lines count too
-    # two loops with disjoint fixed-line sets leave nothing
-    lower = ((1, 0), (1, 1))
-    cs4 = system(
-        variables=[W0, W1],
-        isos=[iso(W0, W1, ident), iso(W0, W1, jordan), iso(W0, W1, lower)],
-    )
-    assert stratum_euler(cs4) == 0
-
-
-def test_scalar_loop_stays_free():
-    ident = ((1, 0), (0, 1))
-    minus = ((-3, 0), (0, -3))
-    cs = system(variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, minus)])
-    assert stratum_euler(cs) == 2
 
 
 def test_iso_chain():
-    m = ((1, 2), (1, 1))
-    cs = system(
-        variables=[W0, W1, W2],
-        isos=[iso(W0, W1, m), iso(W1, W2, m)],
-    )
+    chain = [(W0, W1), (W1, W2)]
+    cs = system(variables=[W0, W1, W2], links=chain)
     assert stratum_euler(cs) == 2
     assert stratum_euler_oracle_fp(cs, primes=(5, 7, 11, 13)) == 2
-
-
-def test_rank_one_disjunction():
-    m = ((1, 0), (0, 0))
-    link = rank1(W0, W1, m, (0, 1), (1, 0))
-    cs = system(variables=[W0, W1], rank_ones=[link])
-    # union of {src on kernel} x P^1 and P^1 x {tgt on image}
-    assert stratum_euler(cs) == 3
-    assert stratum_euler_oracle_fp(cs) == 3
-
-
-def test_rank_one_with_forced_source():
-    m = ((1, 0), (0, 0))
-    link = rank1(W0, W1, m, (0, 1), (1, 0))
-    off_kernel = system(
-        variables=[W0, W1], fixed={W0: (1, 0)}, rank_ones=[link]
+    # a clash between the two ends of a chain kills the stratum
+    clash = system(
+        variables=[W0, W1, W2], fixed={W0: (1, 0), W2: (1, 1)}, links=chain
     )
-    assert stratum_euler(off_kernel) == 1  # target forced to the image
-    on_kernel = system(
-        variables=[W0, W1], fixed={W0: (0, 1)}, rank_ones=[link]
-    )
-    assert stratum_euler(on_kernel) == 2  # target stays free
-    both_bad = system(
-        variables=[W0, W1],
-        fixed={W0: (1, 0), W1: (0, 1)},
-        rank_ones=[link],
-    )
-    assert stratum_euler(both_bad) == 0
+    assert stratum_euler(clash) == 0
+    # a linked pair plus a lone variable: two free components
+    split = system(variables=[W0, W1, W2], links=[(W1, W0)])
+    assert stratum_euler(split) == 4
 
 
 def test_oracle_matches_engine_on_synthetic_systems():
-    ident = ((1, 0), (0, 1))
-    split = ((2, 0), (0, 3))
-    jordan = ((1, 1), (0, 1))
+    chain = [(W0, W1), (W1, W2)]
     cases = [
         system(),
         system(variables=[W0]),
         system(variables=[W0], fixed={W0: (2, -3)}),
-        system(variables=[W0, W1], isos=[iso(W0, W1, split)]),
-        system(variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, split)]),
-        system(variables=[W0, W1], isos=[iso(W0, W1, ident), iso(W0, W1, jordan)]),
-        system(
-            variables=[W0, W1],
-            rank_ones=[rank1(W0, W1, ((1, 0), (0, 0)), (0, 1), (1, 0))],
-        ),
+        system(variables=[W0, W1], links=[(W0, W1)]),
+        system(variables=[W0, W1], fixed={W1: (0, 1)}, links=[(W0, W1)]),
+        system(variables=[W0, W1], fixed={W0: (1, 0), W1: (1, 1)}, links=[(W0, W1)]),
+        system(variables=[W0, W1, W2], links=[(W1, W0)]),
+        system(variables=[W0, W1, W2], fixed={W2: (1, 1)}, links=chain),
+        system(variables=[W0, W1, W2], fixed={W0: (1, 0), W2: (0, 1)}, links=chain),
     ]
     for cs in cases:
-        assert stratum_euler(cs) == stratum_euler_oracle_fp(cs)
+        assert stratum_euler(cs) == stratum_euler_oracle_fp(cs, primes=(5, 7, 11, 13))
 
 
 def test_oracle_parameter_checks():
@@ -275,8 +202,8 @@ def test_oracle_parameter_checks():
 
 
 def test_engine_matches_oracle_on_real_strata():
-    for v in [(1, 1, 1), (2, 1, 1)]:
-        for n in (0, 1, 2):
+    for v in GRID:
+        for n in (0, 1, 2, 3):
             for rec in fixed_locus_summary(v, n).strata:
                 cs = profile_constraint_system(v, rec.coprofile)
                 assert stratum_euler(cs) == rec.euler

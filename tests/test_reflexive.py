@@ -13,6 +13,7 @@ from quotbox.reflexive import (
     sing_ideal,
 )
 from quotbox.reflexive import DimCheckEntry, DimCheckReport
+from quotbox.quotfixed import quot_series
 
 
 def window(hi):
@@ -24,6 +25,10 @@ def test_params_validation():
         ReflexiveParams(0, 1, 1)
     with pytest.raises(ValueError):
         ReflexiveParams.of((1, 1))
+    with pytest.raises(ValueError):
+        ReflexiveParams.of((2.7, 1, 1))
+    with pytest.raises(ValueError):
+        quot_series((1.9, 1, 1), 2)
     p = ReflexiveParams.of([2, 1, 3])
     assert tuple(p) == (2, 1, 3)
     assert p.triple == (2, 1, 3)
@@ -89,6 +94,20 @@ def test_mult_matrix_entries_bounded():
             for k in (1, 2, 3):
                 mm = mult_matrix(v, w, k)
                 assert all(e in (-1, 0, 1) for row in mm.matrix for e in row)
+
+
+def test_mult_matrix_identity_links():
+    # the stratum evaluator in quotfixed relies on exactly these shapes:
+    # identity between 2-dimensional fibers, and a 1-dimensional fiber
+    # landing on one of three fixed lines of a 2-dimensional one
+    for v in [(1, 1, 1), (2, 1, 2), (1, 2, 3), (1, 1, 4)]:
+        for w in window(max(v) + 2):
+            for k in (1, 2, 3):
+                mm = mult_matrix(v, w, k)
+                if mm.source_dim == 2:
+                    assert mm.matrix == ((1, 0), (0, 1))
+                elif mm.source_dim == 1 and mm.target_dim == 2:
+                    assert mm.matrix in (((1,), (0,)), ((0,), (1,)), ((-1,), (-1,)))
 
 
 def test_mult_matrix_examples():

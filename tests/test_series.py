@@ -148,6 +148,8 @@ def test_box_product_rejects_bad_sides():
         box_product((0, 1, 1))
     with pytest.raises(ValueError):
         box_product((1, -2, 1))
+    with pytest.raises(ValueError):
+        box_product((1.5, 2, 2))
 
 
 def test_box_product_symmetry():
