@@ -102,78 +102,46 @@ class Coprofile:
 def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     """All coprofiles of total drop n for the module attached to v.
 
-    Supports grow inside the window [0, max(v)+n]^3 by adding weights in
-    increasing (coordinate sum, lex) order; a weight is addable when it is
-    a generator weight or has a predecessor already in the support.  Each
-    valid support appears exactly once this way.  Drops are then
-    distributed with 1 <= c(w) <= fiber dimension.
+    A depth-first search adds (weight, drop) pairs in increasing lex order
+    of weight, the order Coprofile entries are kept in.  The candidate
+    weights at a node are the generator weights and the successors w + e_k
+    of the weights already chosen, keeping those after the last weight
+    added; each takes a drop 1 <= c <= min(fiber dimension, remaining
+    drop), and a coprofile is complete when the remaining drop is 0.
+    Candidates are exactly the weights the reachability rule allows, since
+    successors of nonzero fibers are nonzero.  Each coprofile is produced
+    exactly once: its weights can only be added in lex order, and every
+    lex-order prefix of a valid support is valid, because a predecessor
+    w - e_k comes before w.
     """
     params = ReflexiveParams.of(v)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > guard:
         raise GuardExceeded(f"coprofile enumeration guarded at n <= {guard}")
-    if n == 0:
-        return [Coprofile(())]
 
-    gens = set(params.generator_weights())
-    hi = max(params.triple) + n
-    universe = []
-    dims = {}
-    for w in itertools.product(range(hi + 1), repeat=3):
-        d = fiber_dim(params, w)
-        if d:
-            universe.append(w)
-            dims[w] = d
-    universe.sort(key=lambda w: (sum(w), w))
-
-    supports: list[tuple[Weight, ...]] = []
-
-    def grow(chosen: list[Weight], members: set[Weight], start: int) -> None:
-        if chosen:
-            supports.append(tuple(chosen))
-        if len(chosen) == n:
-            return
-        for idx in range(start, len(universe)):
-            w = universe[idx]
-            addable = w in gens or any(
-                (w[0] - e[0], w[1] - e[1], w[2] - e[2]) in members for e in _E
-            )
-            if not addable:
-                continue
-            chosen.append(w)
-            members.add(w)
-            grow(chosen, members, idx + 1)
-            chosen.pop()
-            members.remove(w)
-
-    grow([], set(), 0)
-
+    gens = params.generator_weights()
+    dims: dict[Weight, int] = {}
     out: list[Coprofile] = []
-    for sup in supports:
-        # support stays inside the enumeration window by construction
-        assert all(max(w) <= hi for w in sup)
-        caps = [dims[w] for w in sup]
-        if len(sup) > n or sum(caps) < n:
-            continue
-        sorted_sup = sorted(sup)
-        sorted_caps = [dims[w] for w in sorted_sup]
 
-        def distribute(i: int, remaining: int, acc: list[int]) -> None:
-            if i == len(sorted_sup):
-                if remaining == 0:
-                    out.append(
-                        Coprofile(tuple(zip(sorted_sup, tuple(acc))))
-                    )
-                return
-            slots_after = len(sorted_sup) - i - 1
-            top = min(sorted_caps[i], remaining - slots_after)
-            for c in range(1, top + 1):
-                acc.append(c)
-                distribute(i + 1, remaining - c, acc)
-                acc.pop()
+    def grow(chosen: list[tuple[Weight, int]], remaining: int) -> None:
+        if remaining == 0:
+            out.append(Coprofile(tuple(chosen)))
+            return
+        candidates = set(gens)
+        for w, _ in chosen:
+            candidates.update((w[0] + e[0], w[1] + e[1], w[2] + e[2]) for e in _E)
+        for w in candidates:
+            if chosen and w <= chosen[-1][0]:
+                continue
+            if w not in dims:
+                dims[w] = fiber_dim(params, w)
+            for c in range(1, min(dims[w], remaining) + 1):
+                chosen.append((w, c))
+                grow(chosen, remaining - c)
+                chosen.pop()
 
-        distribute(0, n, [])
+    grow([], n)
     return sorted(out, key=lambda p: p.entries)
 
 
@@ -302,27 +270,32 @@ def _interp_coeffs(xs, ys):
     return coeffs
 
 
+_ORACLE_PRIMES = (5, 7, 11, 13, 17, 19)
+
+
 def stratum_euler_oracle_fp(
-    cs: ConstraintSystem, primes=(5, 7, 11), guard: int = 4
+    cs: ConstraintSystem, primes=None, guard: int = 4
 ) -> int:
     """Euler characteristic via point counts over prime fields.
 
     Counts solutions in a product of P^1(F_p), fits the counts by a
-    polynomial in p of degree at most the number of variables, and
-    evaluates at p = 1.  Primes must be pairwise distinct, at least one
-    more than the variable count, and large enough that distinct forced
-    lines stay distinct modulo p.
+    polynomial in p of degree at most the number of variables m, and
+    evaluates at p = 1.  Primes must be pairwise distinct, at least m + 2
+    of them so that a count that is not such a polynomial raises
+    ArithmeticError, and large enough that distinct forced lines stay
+    distinct modulo p.  The default takes the first m + 2 of
+    5, 7, 11, 13, 17, 19.
     """
     if cs.infeasible:
         return 0
     m = len(cs.variables)
     if m > guard:
         raise GuardExceeded(f"field oracle guarded at {guard} variables, got {m}")
-    primes = tuple(primes)
+    primes = _ORACLE_PRIMES[: m + 2] if primes is None else tuple(primes)
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    if len(primes) < m + 1:
-        raise ValueError("need at least one prime more than the variable count")
+    if len(primes) < m + 2:
+        raise ValueError("need at least two primes more than the variable count")
 
     index = {w: i for i, w in enumerate(cs.variables)}
     fixed = [(index[w], pt) for w, pt in cs.fixed_lines.items()]

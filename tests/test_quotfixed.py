@@ -92,6 +92,44 @@ def test_support_reachability_invariant():
                     assert 1 <= c <= fiber_dim(v, w)
 
 
+def reference_coprofiles(v, n):
+    """Coprofiles by set closure: supports S | {w}, w a generator or a
+    successor of S, then every drop vector summing to n."""
+    gens = set(ReflexiveParams.of(v).generator_weights())
+    supports = {frozenset()}
+    level = {frozenset()}
+    for _ in range(n):
+        level = {
+            s | {w}
+            for s in level
+            for w in gens | {tuple(x + (i == k) for i, x in enumerate(u))
+                             for u in s for k in range(3)}
+            if w not in s
+        }
+        supports |= level
+    out = set()
+    for s in supports:
+        ws = sorted(s)
+        caps = [range(1, fiber_dim(v, w) + 1) for w in ws]
+        for drops in itertools.product(*caps):
+            if sum(drops) == n:
+                out.add(tuple(zip(ws, drops)))
+    return out
+
+
+def test_enumeration_matches_set_closure_reference():
+    for v in GRID:
+        for n in range(5):
+            got = [p.entries for p in enumerate_coprofiles(v, n)]
+            assert len(got) == len(set(got))
+            assert set(got) == reference_coprofiles(v, n)
+
+
+def test_enumeration_counts_at_colength_six():
+    for v, count in [((1, 1, 1), 7457), ((2, 2, 2), 6990), ((1, 2, 3), 7404)]:
+        assert len(enumerate_coprofiles(v, 6, guard=6)) == count
+
+
 def test_corner_profile_not_enumerated_but_evaluates_to_zero():
     # a lone drop at the corner weight fails the reachability rule, and
     # the module structure agrees: incoming maps force three distinct
@@ -160,7 +198,7 @@ def test_iso_chain():
     chain = [(W0, W1), (W1, W2)]
     cs = system(variables=[W0, W1, W2], links=chain)
     assert stratum_euler(cs) == 2
-    assert stratum_euler_oracle_fp(cs, primes=(5, 7, 11, 13)) == 2
+    assert stratum_euler_oracle_fp(cs) == 2
     # a clash between the two ends of a chain kills the stratum
     clash = system(
         variables=[W0, W1, W2], fixed={W0: (1, 0), W2: (1, 1)}, links=chain
@@ -185,13 +223,15 @@ def test_oracle_matches_engine_on_synthetic_systems():
         system(variables=[W0, W1, W2], fixed={W0: (1, 0), W2: (0, 1)}, links=chain),
     ]
     for cs in cases:
-        assert stratum_euler(cs) == stratum_euler_oracle_fp(cs, primes=(5, 7, 11, 13))
+        assert stratum_euler(cs) == stratum_euler_oracle_fp(cs)
 
 
 def test_oracle_parameter_checks():
     cs = system(variables=[W0, W1, W2])
     with pytest.raises(ValueError):
-        stratum_euler_oracle_fp(cs, primes=(5, 7, 11))  # need m+1 primes
+        stratum_euler_oracle_fp(cs, primes=(5, 7, 11))
+    with pytest.raises(ValueError):
+        stratum_euler_oracle_fp(cs, primes=(5, 7, 11, 13))  # need m+2 primes
     with pytest.raises(ValueError):
         stratum_euler_oracle_fp(system(variables=[W0]), primes=(5, 5, 7))
     with pytest.raises(GuardExceeded):
@@ -199,6 +239,15 @@ def test_oracle_parameter_checks():
             system(variables=[W0, W1, W2, (1, 1, 0), (1, 0, 1)]),
             primes=(5, 7, 11, 13, 17, 19),
         )
+
+
+def test_oracle_rejects_counts_that_are_not_polynomial():
+    # (1, 5) is (1, 0) modulo 5, so the clash the engine sees vanishes at
+    # p = 5; three primes fit any three counts, four expose the jump
+    cs = system(variables=[W0, W1], fixed={W0: (1, 0), W1: (1, 5)}, links=[(W0, W1)])
+    assert stratum_euler(cs) == 0
+    with pytest.raises(ArithmeticError):
+        stratum_euler_oracle_fp(cs)
 
 
 def test_engine_matches_oracle_on_real_strata():
@@ -223,9 +272,10 @@ def test_quot_series_matches_golden():
 
 
 def test_permutation_invariance():
-    base = quot_series((1, 2, 2), 2)
-    for perm in set(itertools.permutations((1, 2, 2))):
-        assert quot_series(perm, 2).coeffs == base.coeffs
+    for v, order in [((1, 2, 2), 2), ((1, 2, 3), 4)]:
+        base = quot_series(v, order)
+        for perm in set(itertools.permutations(v)):
+            assert quot_series(perm, order).coeffs == base.coeffs
 
 
 def test_guards():
