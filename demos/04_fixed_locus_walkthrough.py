@@ -37,6 +37,14 @@ print(f"  infeasible: {cs.infeasible}, forced lines {cs.fixed_lines}")
 print(f"  engine: {stratum_euler(cs)}   "
       f"field oracle: {stratum_euler_oracle_fp(cs)}\n")
 
+print("A feasible stratum has a consistent constraint system, yet it")
+print("can still be empty, when links join two differently forced lines:")
+summary = fixed_locus_summary(v, 5)
+feasible = [rec for rec in summary.strata if rec.feasible]
+empty = sum(1 for rec in feasible if rec.euler == 0)
+print(f"  colength 5: {len(summary.strata)} strata, {len(feasible)} feasible, "
+      f"{empty} of those with Euler characteristic 0\n")
+
 print("Summing strata for each n gives the engine's series, which")
 print("matches the closed form:")
 for u in [(1, 1, 1), (2, 2, 2), (1, 2, 3)]:

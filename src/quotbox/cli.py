@@ -19,7 +19,7 @@ from .partitions import (
     count_box_partitions,
     enumerate_plane_partitions,
 )
-from .quotfixed import fixed_locus_summary, quot_series
+from .quotfixed import fixed_locus_summary, quot_fixed_euler, quot_series
 from .series import box_product, macmahon
 from .verify import (
     verify_product_formula,
@@ -63,7 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qe = quot_sub.add_parser("euler", help="Euler characteristic at colength n")
     p_qe.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_qe.add_argument("--n", type=int, required=True)
-    p_qe.add_argument("--strata", action="store_true", help="print each stratum")
+    p_qe.add_argument(
+        "--strata", action="store_true",
+        help="list every enumerated stratum and whether its constraint "
+        "system is feasible",
+    )
     p_qe.add_argument("--guard", type=int, default=5)
     p_qs = quot_sub.add_parser("series", help="Euler characteristic series")
     p_qs.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
@@ -107,8 +111,8 @@ def _run(args) -> int:
 
     if args.command == "quot":
         if args.quot_cmd == "euler":
-            summary = fixed_locus_summary(args.v, args.n, guard=args.guard)
             if args.strata:
+                summary = fixed_locus_summary(args.v, args.n, guard=args.guard)
                 for rec in summary.strata:
                     cells = " ".join(
                         f"{w}:{c}" for w, c in rec.coprofile.entries
@@ -117,7 +121,7 @@ def _run(args) -> int:
                     print(f"stratum [{cells}] euler={rec.euler} {flag}")
                 print(f"total {summary.total}")
             else:
-                print(summary.total)
+                print(quot_fixed_euler(args.v, args.n, guard=args.guard))
         else:
             print(_coeff_line(quot_series(args.v, args.order, guard=args.guard)))
         return 0

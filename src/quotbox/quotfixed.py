@@ -27,14 +27,28 @@ variables into components, a component forced to two different lines
 makes the stratum empty, and otherwise every unforced component is a free
 P^1, so the Euler characteristic is 0 or 2^(free components).
 
+``quot_series`` sums these over one depth-first search that adds
+(weight, drop) pairs in increasing lex order of weight and covers every
+colength up to the order at once.  The conditions of a stratum are
+indexed by their target weight w and read only the drops at the
+predecessors w - e_k, which come earlier in lex order.  So when a pair
+(w, c) is added, the conditions with target w are final and are decided
+right then; every extension of the branch keeps them, so infeasibility
+is monotone along a branch and an infeasible pair is cut with its whole
+subtree.  Every lex-order prefix of a consistent stratum is again a
+consistent stratum, so the search visits exactly the consistent strata.
+``enumerate_coprofiles`` and ``profile_constraint_system`` give the full
+stratification, infeasible strata included, for ``fixed_locus_summary``.
+
 ``stratum_euler_oracle_fp`` recomputes the same number independently by
 counting points over several prime fields and interpolating the count
 polynomial at 1.  Everything is exact integer arithmetic; enumeration
-depth is guarded.
+and search depth are guarded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -99,17 +113,47 @@ class Coprofile:
         return cls(tuple((tuple(w), c) for (w, c) in data))
 
 
+def _fiber_tables(params: ReflexiveParams):
+    """Memoized fiber dimension at w, and the normalized line that
+    multiplication by x_k carries a 1-dimensional fiber at w to."""
+
+    @functools.cache
+    def dim(w: Weight) -> int:
+        return fiber_dim(params, w)
+
+    @functools.cache
+    def line(w: Weight, k: int) -> Point:
+        (x,), (y,) = mult_matrix(params, w, k).matrix
+        return _normalize_point(x, y)
+
+    return dim, line
+
+
+def _candidates(gens, chosen: list[tuple[Weight, int]]) -> list[Weight]:
+    """Weights the reachability rule lets a search add next, in lex order.
+
+    These are the generator weights and the successors w + e_k of the
+    weights already chosen, kept when they come after the last weight
+    added.  Successors of nonzero fibers are nonzero.
+    """
+    found = set(gens)
+    for w, _ in chosen:
+        found.update((w[0] + e[0], w[1] + e[1], w[2] + e[2]) for e in _E)
+    if chosen:
+        last = chosen[-1][0]
+        return sorted(w for w in found if w > last)
+    return sorted(found)
+
+
 def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     """All coprofiles of total drop n for the module attached to v.
 
     A depth-first search adds (weight, drop) pairs in increasing lex order
     of weight, the order Coprofile entries are kept in.  The candidate
-    weights at a node are the generator weights and the successors w + e_k
-    of the weights already chosen, keeping those after the last weight
-    added; each takes a drop 1 <= c <= min(fiber dimension, remaining
-    drop), and a coprofile is complete when the remaining drop is 0.
-    Candidates are exactly the weights the reachability rule allows, since
-    successors of nonzero fibers are nonzero.  Each coprofile is produced
+    weights at a node are those of ``_candidates``; each takes a drop
+    1 <= c <= min(fiber dimension, remaining drop), and a coprofile is
+    complete when the remaining drop is 0.  Candidates are exactly the
+    weights the reachability rule allows.  Each coprofile is produced
     exactly once: its weights can only be added in lex order, and every
     lex-order prefix of a valid support is valid, because a predecessor
     w - e_k comes before w.
@@ -121,22 +165,15 @@ def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
         raise GuardExceeded(f"coprofile enumeration guarded at n <= {guard}")
 
     gens = params.generator_weights()
-    dims: dict[Weight, int] = {}
+    dim, _ = _fiber_tables(params)
     out: list[Coprofile] = []
 
     def grow(chosen: list[tuple[Weight, int]], remaining: int) -> None:
         if remaining == 0:
             out.append(Coprofile(tuple(chosen)))
             return
-        candidates = set(gens)
-        for w, _ in chosen:
-            candidates.update((w[0] + e[0], w[1] + e[1], w[2] + e[2]) for e in _E)
-        for w in candidates:
-            if chosen and w <= chosen[-1][0]:
-                continue
-            if w not in dims:
-                dims[w] = fiber_dim(params, w)
-            for c in range(1, min(dims[w], remaining) + 1):
+        for w in _candidates(gens, chosen):
+            for c in range(1, min(dim(w), remaining) + 1):
                 chosen.append((w, c))
                 grow(chosen, remaining - c)
                 chosen.pop()
@@ -173,17 +210,52 @@ class ConstraintSystem:
     infeasible: bool = False
 
 
+def _target_rule(dim, line, wt: Weight, ct: int, drops: dict[Weight, int]):
+    """Decide the conditions x_k F_{wt - e_k} <= F_wt for one target.
+
+    Every multiplication map has rank equal to its source dimension, so
+    only dimensions decide the outcome: a full 1-dimensional source forces
+    a free target line to its image, a free line source links to a free
+    target line, and any other nonzero source leaves too little room in
+    the target.  Returns (forced line or None, link sources, infeasible);
+    a second, different forced line makes the target infeasible and the
+    first one is kept.  Only the drops at the predecessors wt - e_k are
+    read.
+    """
+    free_t = dim(wt) - ct
+    forced = None
+    sources = []
+    infeasible = False
+    for k in (1, 2, 3):
+        ws = (wt[0] - _E[k - 1][0], wt[1] - _E[k - 1][1], wt[2] - _E[k - 1][2])
+        if min(ws) < 0:
+            continue
+        ds = dim(ws)
+        cs = drops.get(ws, 0)
+        if ds == cs:
+            continue  # zero or fully removed source fiber, no condition
+        if free_t == 1 and ds == 1:
+            image = line(ws, k)
+            if forced is None:
+                forced = image
+            elif forced != image:
+                infeasible = True
+        elif free_t == 1 and cs == 1:
+            sources.append(ws)
+        else:
+            infeasible = True
+    return forced, sources, infeasible
+
+
 def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     """Build the constraint system of one coprofile.
 
     For every support weight w and direction k the multiplication map from
-    w - e_k must carry F_{w-e_k} into F_w.  Every such map has rank equal
-    to its source dimension, so only dimensions decide the outcome: a full
-    1-dimensional source forces a free target line to its image, a free
-    line source links to a free target line, and any other nonzero source
-    leaves too little room in the target, making the stratum infeasible.
+    w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
+    conditions of each target.
     """
     params = ReflexiveParams.of(v)
+    dim, line = _fiber_tables(params)
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
@@ -191,31 +263,18 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     infeasible = False
 
     for w, c in profile.entries:
-        d = fiber_dim(params, w)
+        d = dim(w)
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
         if d == 2 and c == 1:
             variables.append(w)
 
     for wt, ct in profile.entries:
-        free_t = fiber_dim(params, wt) - ct
-        for k in (1, 2, 3):
-            ws = (wt[0] - _E[k - 1][0], wt[1] - _E[k - 1][1], wt[2] - _E[k - 1][2])
-            if min(ws) < 0:
-                continue
-            ds = fiber_dim(params, ws)
-            cs = drops.get(ws, 0)
-            if ds == cs:
-                continue  # zero or fully removed source fiber, no condition
-            if free_t == 1 and ds == 1:
-                (x,), (y,) = mult_matrix(params, ws, k).matrix
-                line = _normalize_point(x, y)
-                if fixed.setdefault(wt, line) != line:
-                    infeasible = True
-            elif free_t == 1 and cs == 1:
-                links.append(Link(ws, wt))
-            else:
-                infeasible = True
+        forced, sources, bad = _target_rule(dim, line, wt, ct, drops)
+        if forced is not None:
+            fixed[wt] = forced
+        links.extend(Link(ws, wt) for ws in sources)
+        infeasible = infeasible or bad
 
     return ConstraintSystem(
         variables=tuple(sorted(variables)),
@@ -223,6 +282,45 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
         links=tuple(sorted(links)),
         infeasible=infeasible,
     )
+
+
+def _consistent_strata(params: ReflexiveParams, order: int):
+    """Every stratum of total drop <= order whose constraint system is not
+    infeasible, as (Coprofile, ConstraintSystem), one per search node.
+
+    The search is that of ``enumerate_coprofiles``, except that every node
+    is a stratum of its own drop, and a (weight, drop) pair is decided the
+    moment it is added: the drops of its predecessors are final then, so
+    ``_target_rule`` settles its conditions, and an infeasible pair is cut
+    with its whole subtree.
+    """
+    gens = params.generator_weights()
+    dim, line = _fiber_tables(params)
+    chosen: list[tuple[Weight, int]] = []
+    drops: dict[Weight, int] = {}
+
+    def grow(remaining, variables, fixed, links):
+        yield Coprofile(tuple(chosen)), ConstraintSystem(
+            variables, dict(fixed), tuple(sorted(links))
+        )
+        for w in _candidates(gens, chosen):
+            d = dim(w)
+            for c in range(1, min(d, remaining) + 1):
+                forced, sources, infeasible = _target_rule(dim, line, w, c, drops)
+                if infeasible:
+                    continue
+                chosen.append((w, c))
+                drops[w] = c
+                yield from grow(
+                    remaining - c,
+                    variables + (w,) if d == 2 and c == 1 else variables,
+                    fixed if forced is None else {**fixed, w: forced},
+                    links + tuple(Link(ws, w) for ws in sources),
+                )
+                del drops[w]
+                chosen.pop()
+
+    yield from grow(order, (), {}, ())
 
 
 def stratum_euler(cs: ConstraintSystem) -> int:
@@ -374,8 +472,10 @@ class FixedLocusSummary:
 def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
     """Evaluate every stratum for colength n and collect the results.
 
-    Infeasible strata are kept with euler 0 and feasible False, so the
-    record shows the full stratification, not just the surviving part.
+    Every enumerated coprofile gets a record, so the summary shows the
+    full stratification.  feasible is False exactly when the constraint
+    system is infeasible (euler is then 0); a feasible stratum can still
+    have euler 0, when a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
     records = []
@@ -383,19 +483,28 @@ def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
     for profile in enumerate_coprofiles(params, n, guard=guard):
         system = profile_constraint_system(params, profile)
         e = stratum_euler(system)
-        records.append(StratumRecord(profile, e, e != 0))
+        records.append(StratumRecord(profile, e, not system.infeasible))
         total += e
     return FixedLocusSummary(params.triple, n, records, total)
 
 
 def quot_fixed_euler(v, n: int, guard: int = 5) -> int:
     """Euler characteristic of the colength-n fixed locus."""
-    return fixed_locus_summary(v, n, guard=guard).total
+    return quot_series(v, n, guard=guard).coeffs[n]
 
 
 def quot_series(v, order: int, guard: int = 5) -> TruncatedSeries:
-    """Generating series of fixed-locus Euler characteristics up to q^order."""
+    """Generating series of fixed-locus Euler characteristics up to q^order.
+
+    One pruned search covers every colength n <= order: each consistent
+    stratum adds its Euler characteristic to coefficient n.
+    """
+    params = ReflexiveParams.of(v)
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = tuple(quot_fixed_euler(v, n, guard=guard) for n in range(order + 1))
-    return TruncatedSeries(order, coeffs)
+    if order > guard:
+        raise GuardExceeded(f"stratum search guarded at order <= {guard}")
+    coeffs = [0] * (order + 1)
+    for profile, system in _consistent_strata(params, order):
+        coeffs[profile.n] += stratum_euler(system)
+    return TruncatedSeries(order, tuple(coeffs))

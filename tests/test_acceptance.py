@@ -37,9 +37,8 @@ def report(criterion: str, ok: bool) -> None:
 def test_criterion_1_series_match_closed_form():
     failures = []
     for v in GRID:
-        order = 5 if v == (1, 1, 1) else 3
-        got = quot_series(v, order)
-        want = quot_closed_form(v, order)
+        got = quot_series(v, 8, guard=8)
+        want = quot_closed_form(v, 8)
         if got != want:
             failures.append((v, list(got.coeffs), list(want.coeffs)))
     report("1 engine series equals closed form on the grid", not failures)

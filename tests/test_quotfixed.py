@@ -10,6 +10,7 @@ from quotbox.quotfixed import (
     Coprofile,
     FixedLocusSummary,
     Link,
+    _consistent_strata,
     enumerate_coprofiles,
     fixed_locus_summary,
     profile_constraint_system,
@@ -19,6 +20,7 @@ from quotbox.quotfixed import (
     stratum_euler_oracle_fp,
 )
 from quotbox.reflexive import ReflexiveParams, fiber_dim
+from quotbox.verify import verify_product_formula
 
 
 GOLDEN_SERIES = load_coeff_table("quot_series.txt")
@@ -172,6 +174,55 @@ def test_colength_two_summary():
             assert (1, 1, 1) in r.coprofile.support
 
 
+def test_feasible_label_follows_the_constraint_system():
+    summary = fixed_locus_summary((1, 1, 1), 5)
+    feasible = [r for r in summary.strata if r.feasible]
+    assert len(feasible) == 157
+    assert sum(1 for r in feasible if r.euler == 0) == 6
+    for r in summary.strata:
+        cs = profile_constraint_system((1, 1, 1), r.coprofile)
+        assert r.feasible == (not cs.infeasible)
+
+
+def stratum_key(profile, cs):
+    return (
+        profile.entries,
+        cs.variables,
+        tuple(sorted(cs.fixed_lines.items())),
+        cs.links,
+    )
+
+
+SEARCH_CASES = [(v, n) for v in GRID for n in range(5)] + [
+    (v, 5) for v in [(1, 1, 1), (2, 1, 1), (1, 2, 3)]
+]
+
+
+def test_search_visits_exactly_the_consistent_strata():
+    by_v = {}
+    for v, n in SEARCH_CASES:
+        by_v[v] = max(by_v.get(v, 0), n)
+    for v, order in by_v.items():
+        visited = {}
+        for profile, cs in _consistent_strata(ReflexiveParams.of(v), order):
+            assert not cs.infeasible
+            visited.setdefault(profile.n, []).append(stratum_key(profile, cs))
+        for n in range(order + 1):
+            full = {
+                stratum_key(p, cs)
+                for p in enumerate_coprofiles(v, n)
+                for cs in [profile_constraint_system(v, p)]
+                if not cs.infeasible
+            }
+            assert len(visited[n]) == len(set(visited[n]))
+            assert set(visited[n]) == full
+
+
+def test_summary_total_matches_pruned_search():
+    for v, n in SEARCH_CASES:
+        assert fixed_locus_summary(v, n).total == quot_fixed_euler(v, n)
+
+
 def test_empty_system_and_fixed_points():
     assert stratum_euler(system()) == 1
     assert stratum_euler(system(variables=[W0])) == 2
@@ -272,17 +323,24 @@ def test_quot_series_matches_golden():
 
 
 def test_permutation_invariance():
-    for v, order in [((1, 2, 2), 2), ((1, 2, 3), 4)]:
-        base = quot_series(v, order)
+    for v, order in [((1, 2, 2), 2), ((1, 2, 3), 7)]:
+        base = quot_series(v, order, guard=order)
         for perm in set(itertools.permutations(v)):
-            assert quot_series(perm, order).coeffs == base.coeffs
+            assert quot_series(perm, order, guard=order).coeffs == base.coeffs
 
 
-def test_guards():
+def test_guards(monkeypatch):
+    # the guard is checked before any stratum is evaluated
+    def no_work(cs):
+        raise AssertionError("stratum evaluated before the guard check")
+
+    monkeypatch.setattr("quotbox.quotfixed.stratum_euler", no_work)
     with pytest.raises(GuardExceeded):
         quot_fixed_euler((1, 1, 1), 7)
     with pytest.raises(GuardExceeded):
         quot_series((1, 1, 1), 7)
+    with pytest.raises(GuardExceeded):
+        verify_product_formula((1, 1, 1), 6)
     with pytest.raises(ValueError):
         quot_series((1, 1, 1), -1)
 

@@ -106,6 +106,17 @@ def test_cli_quot_strata(capsys):
     assert any("infeasible" in l for l in lines)
 
 
+def test_cli_quot_euler_routes_agree(capsys):
+    # without --strata the pruned search answers, with it the full listing
+    argv = ["quot", "euler", "--v", "2", "1", "1", "--n", "5"]
+    assert cli_main(argv) == 0
+    pruned = capsys.readouterr().out.strip()
+    assert cli_main(argv + ["--strata"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == f"total {pruned}"
+    assert pruned == "175"
+
+
 def test_cli_verify_pass_and_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = cli_main(
