@@ -10,8 +10,15 @@ Three independent counting routes are provided for box-bounded partitions,
 kept deliberately separate so they can check each other:
 
 * direct enumeration (``count_box_partitions``),
-* a row-by-row transfer-matrix DP (``box_partition_polynomial_dp``),
+* a row-by-row transfer DP (``box_partition_polynomial_dp``),
 * the closed-form product (``quotbox.series.box_product``).
+
+The DP never compares two rows.  A row s may follow any row t >= s
+componentwise, so one row step takes, for every s, the sum over the
+up-set {t >= s} of weakly decreasing tuples.  That sum is built as
+suffix sums one coordinate at a time, last coordinate first, and then
+every polynomial is shifted by |s|: v2 sweeps over the C(v2+v3, v2)
+states per row, v1 * v2 * C(v2+v3, v2) * (order+1) additions in all.
 
 Enumeration sizes are guarded; exceeding a guard raises GuardExceeded
 rather than grinding or exhausting memory.
@@ -187,6 +194,18 @@ def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSe
     [0, v3]; the DP walks the v1 rows, each row componentwise below the
     previous.  The state count is C(v2+v3, v2) and is checked against
     state_guard before any state is generated.
+
+    One row step sends g to g'(s) = q^|s| * sum_{t >= s} g(t).  The sum
+    over the up-set is taken by suffix sums over coordinates
+    b = v2-1, ..., 0: in decreasing lex order of s, g(s) += g(s + e_b)
+    whenever s + e_b is a state (s_b < v3, and s_b < s_(b-1) for b > 0).
+    s + e_b is lex-larger than s, so it is already summed along b when it
+    is read, and after the sweeps for v2-1, ..., b, g(s) is the sum over
+    decreasing t with t_j >= s_j for j >= b and t_j = s_j for j < b.
+    Sweeping first to last coordinate instead would leave the decreasing
+    tuples on the way and miss terms.  The cost is
+    v1 * v2 * C(v2+v3, v2) additions of coefficient lists of length
+    order+1, where order = v1*v2*v3.
     """
     v1, v2, v3 = _box_triple(v)
     nstates = math.comb(v2 + v3, v2)
@@ -205,26 +224,30 @@ def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSe
 
     gen((), v3)
 
+    index = {s: i for i, s in enumerate(states)}
+    # sweeps[k] pairs each state s with s + e_b, b = v2-1-k, when that is
+    # again a state; s + e_b is lex-larger, so it comes first in states.
+    sweeps = [
+        [
+            (i, index[s[:b] + (s[b] + 1,) + s[b + 1:]])
+            for i, s in enumerate(states)
+            if s[b] < v3 and (b == 0 or s[b] < s[b - 1])
+        ]
+        for b in range(v2 - 1, -1, -1)
+    ]
+    shifts = [sum(s) for s in states]
+
     order = v1 * v2 * v3
-    # poly[state] = generating polynomial of stacks so far ending at state
-    top = (v3,) * v2
-    poly = {s: [0] * (order + 1) for s in states}
-    poly[top][0] = 1
+    # poly[i] = generating polynomial of the stacks so far whose last row
+    # is states[i]; before the first row, the last row is the full top.
+    poly = [[0] * (order + 1) for _ in states]
+    poly[index[(v3,) * v2]][0] = 1
     for _ in range(v1):
-        new = {s: [0] * (order + 1) for s in states}
-        for s in states:
-            w = sum(s)
-            acc = new[s]
-            for t, pt in poly.items():
-                if all(t[b] >= s[b] for b in range(v2)):
-                    for d, c in enumerate(pt):
-                        if c:
-                            acc[d + w] += c
-        poly = new
-    total = [0] * (order + 1)
-    for pt in poly.values():
-        for d, c in enumerate(pt):
-            total[d] += c
+        for pairs in sweeps:
+            for i, j in pairs:
+                poly[i] = [x + y for x, y in zip(poly[i], poly[j])]
+        poly = [[0] * w + p[: order + 1 - w] for p, w in zip(poly, shifts)]
+    total = [sum(column) for column in zip(*poly)]
     return TruncatedSeries(order, tuple(total))
 
 

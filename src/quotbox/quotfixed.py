@@ -254,8 +254,11 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
     conditions of each target.
     """
-    params = ReflexiveParams.of(v)
-    dim, line = _fiber_tables(params)
+    return _constraint_system(*_fiber_tables(ReflexiveParams.of(v)), profile)
+
+
+def _constraint_system(dim, line, profile: Coprofile) -> ConstraintSystem:
+    """``profile_constraint_system`` read through given fiber tables."""
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
@@ -478,10 +481,11 @@ def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
     have euler 0, when a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
+    dim, line = _fiber_tables(params)
     records = []
     total = 0
     for profile in enumerate_coprofiles(params, n, guard=guard):
-        system = profile_constraint_system(params, profile)
+        system = _constraint_system(dim, line, profile)
         e = stratum_euler(system)
         records.append(StratumRecord(profile, e, not system.infeasible))
         total += e

@@ -194,19 +194,37 @@ class TruncatedSeries:
         return f"{body} + O(q^{self.order + 1})"
 
 
-def _one_minus_q_pow(order: int, exponent: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) - TruncatedSeries.monomial(order, exponent)
+def _times_one_minus_q_pow(a: list[int], e: int) -> None:
+    """Multiply the truncated series a by (1 - q^e) in place.
+
+    Descending, so every a[n - e] read is still the old coefficient.
+    """
+    for n in range(len(a) - 1, e - 1, -1):
+        a[n] -= a[n - e]
+
+
+def _over_one_minus_q_pow(a: list[int], e: int) -> None:
+    """Divide the truncated series a by (1 - q^e) in place.
+
+    Ascending, so a[n] = old a[n] + a[n - e] reads the new coefficient,
+    which is the recurrence of multiplying by sum_k q^(k e).
+    """
+    for n in range(e, len(a)):
+        a[n] += a[n - e]
 
 
 def macmahon(order: int) -> TruncatedSeries:
     """MacMahon's function prod_{k>=1} (1 - q^k)^(-k) up to q^order.
 
-    The q^n coefficient counts plane partitions of n.
+    The q^n coefficient counts plane partitions of n.  Each factor
+    (1 - q^k)^(-1) is applied in place as one ascending pass, k passes
+    for each k <= order, about order^3 / 6 additions in all.
     """
-    result = TruncatedSeries.one(order)
+    a = [1] + [0] * order
     for k in range(1, order + 1):
-        result = result * _one_minus_q_pow(order, k).inverse() ** k
-    return result
+        for _ in range(k):
+            _over_one_minus_q_pow(a, k)
+    return TruncatedSeries(order, tuple(a))
 
 
 def _box_triple(v) -> tuple[int, int, int]:
@@ -225,19 +243,24 @@ def box_product(v, order: int | None = None) -> TruncatedSeries:
         prod_{i=1..v1, j=1..v2} (1 - q^(i+j+v3-1)) / (1 - q^(i+j-1)),
 
     whose denominator exponents are always >= 1, so no 0/0 factor appears.
+    Each factor is applied in place to one coefficient list: a numerator
+    factor by a descending pass, a denominator factor by an ascending one,
+    2 * v1 * v2 passes of at most order + 1 additions.  Every pass is
+    exact on the truncated series, so the result equals num * den^(-1).
     The result is a polynomial of degree v1*v2*v3 (symmetric in v and
     palindromic); order defaults to exactly that degree.
     """
     v1, v2, v3 = _box_triple(v)
     if order is None:
         order = v1 * v2 * v3
-    num = TruncatedSeries.one(order)
-    den = TruncatedSeries.one(order)
+    a = [1] + [0] * order
     for i in range(1, v1 + 1):
         for j in range(1, v2 + 1):
-            num = num * _one_minus_q_pow(order, i + j + v3 - 1)
-            den = den * _one_minus_q_pow(order, i + j - 1)
-    return num * den.inverse()
+            _times_one_minus_q_pow(a, i + j + v3 - 1)
+    for i in range(1, v1 + 1):
+        for j in range(1, v2 + 1):
+            _over_one_minus_q_pow(a, i + j - 1)
+    return TruncatedSeries(order, tuple(a))
 
 
 def quot_closed_form(v, order: int) -> TruncatedSeries:

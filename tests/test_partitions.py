@@ -1,7 +1,10 @@
 import collections
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_coeff_table, load_count_table
 from quotbox.partitions import (
@@ -120,6 +123,23 @@ def test_dp_matches_golden():
 def test_dp_matches_product_beyond_golden():
     for v in [(3, 3, 2), (4, 2, 2), (1, 4, 3)]:
         assert box_partition_polynomial_dp(v) == box_product(v)
+
+
+def test_dp_five_cube():
+    dp = box_partition_polynomial_dp((5, 5, 5))
+    assert dp == box_product((5, 5, 5))
+    assert sum(dp.coeffs) == 267_227_532
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.tuples(*[st.integers(1, 6)] * 3).filter(lambda v: math.prod(v) <= 72))
+def test_dp_properties(v):
+    # the DP treats v1, v2 and v3 differently, so permuting v can break it
+    dp = box_partition_polynomial_dp(v)
+    assert dp == box_product(v)
+    assert dp.is_palindromic()
+    for perm in set(itertools.permutations(v)):
+        assert box_partition_polynomial_dp(perm) == dp
 
 
 def test_dp_state_guard():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 
@@ -20,6 +21,7 @@ from quotbox.quotfixed import (
     stratum_euler_oracle_fp,
 )
 from quotbox.reflexive import ReflexiveParams, fiber_dim
+from quotbox.series import quot_closed_form
 from quotbox.verify import verify_product_formula
 
 
@@ -343,6 +345,21 @@ def test_guards(monkeypatch):
         verify_product_formula((1, 1, 1), 6)
     with pytest.raises(ValueError):
         quot_series((1, 1, 1), -1)
+
+
+def test_summary_reads_one_fiber_table(monkeypatch):
+    # one table for the enumeration and one for the constraint systems,
+    # not a fresh table per coprofile
+    calls = collections.Counter()
+
+    def counting(params, w):
+        calls[w] += 1
+        return fiber_dim(params, w)
+
+    monkeypatch.setattr("quotbox.quotfixed.fiber_dim", counting)
+    summary = fixed_locus_summary((1, 1, 1), 5)
+    assert summary.total == quot_closed_form((1, 1, 1), 5)[5]
+    assert max(calls.values()) <= 2
 
 
 def test_summary_structure_and_json():

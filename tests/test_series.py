@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import load_count_table
 from quotbox.series import (
     TruncatedSeries,
     box_product,
@@ -126,6 +127,35 @@ def test_macmahon_matches_enumeration():
     m = macmahon(6)
     for n in range(7):
         assert m[n] == len(enumerate_plane_partitions(n))
+
+
+def one_minus_q_pow(order, e):
+    return TruncatedSeries.one(order) - TruncatedSeries.monomial(order, e)
+
+
+def test_macmahon_matches_inverse_power_product():
+    order = 40
+    product = TruncatedSeries.one(order)
+    for k in range(1, order + 1):
+        product = product * one_minus_q_pow(order, k).inverse() ** k
+    m = macmahon(order)
+    assert m == product
+    golden = load_count_table("plane_partition_counts.txt")
+    assert [m[n] for n in range(13)] == [golden[n] for n in range(13)]
+
+
+def test_box_product_matches_quotient_of_products():
+    for v in itertools.product(range(1, 5), repeat=3):
+        v1, v2, v3 = v
+        degree = v1 * v2 * v3
+        for order in (0, 3, degree, degree + 10):
+            num = TruncatedSeries.one(order)
+            den = TruncatedSeries.one(order)
+            for i in range(1, v1 + 1):
+                for j in range(1, v2 + 1):
+                    num = num * one_minus_q_pow(order, i + j + v3 - 1)
+                    den = den * one_minus_q_pow(order, i + j - 1)
+            assert box_product(v, order) == num * den.inverse()
 
 
 def test_box_product_small():
