@@ -15,16 +15,16 @@ from quotbox import (
 
 v = (1, 1, 1)
 print(f"v = {v}: fixed quotients of colength n are graded submodules")
-print("with dimension-drop profiles (coprofiles) summing to n.\n")
+print("with dimension-drop profiles (coprofiles) summing to n.  The")
+print("summary lists the strata whose constraint system is consistent.\n")
 
 for n in (1, 2):
     summary = fixed_locus_summary(v, n)
-    print(f"colength {n}: {len(summary.strata)} strata, total Euler "
-          f"characteristic {summary.total}")
+    print(f"colength {n}: {len(summary.strata)} consistent strata, total "
+          f"Euler characteristic {summary.total}")
     for rec in summary.strata:
         cells = ", ".join(f"{w}:{c}" for w, c in rec.coprofile.entries)
-        tag = "" if rec.feasible else "   (infeasible)"
-        print(f"  [{cells}] -> {rec.euler}{tag}")
+        print(f"  [{cells}] -> {rec.euler}")
     print()
 
 print("A drop at the corner weight alone is not a valid profile: the")
@@ -37,13 +37,12 @@ print(f"  infeasible: {cs.infeasible}, forced lines {cs.fixed_lines}")
 print(f"  engine: {stratum_euler(cs)}   "
       f"field oracle: {stratum_euler_oracle_fp(cs)}\n")
 
-print("A feasible stratum has a consistent constraint system, yet it")
-print("can still be empty, when links join two differently forced lines:")
+print("A consistent stratum can still be empty, when links join two")
+print("differently forced lines:")
 summary = fixed_locus_summary(v, 5)
-feasible = [rec for rec in summary.strata if rec.feasible]
-empty = sum(1 for rec in feasible if rec.euler == 0)
-print(f"  colength 5: {len(summary.strata)} strata, {len(feasible)} feasible, "
-      f"{empty} of those with Euler characteristic 0\n")
+empty = sum(1 for rec in summary.strata if rec.euler == 0)
+print(f"  colength 5: {len(summary.strata)} consistent strata, {empty} of "
+      f"them with Euler characteristic 0\n")
 
 print("Summing strata for each n gives the engine's series, which")
 print("matches the closed form:")

@@ -65,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qe.add_argument("--n", type=int, required=True)
     p_qe.add_argument(
         "--strata", action="store_true",
-        help="list every enumerated stratum and whether its constraint "
-        "system is feasible",
+        help="list every consistent stratum and its Euler characteristic",
     )
     p_qe.add_argument("--guard", type=int, default=5)
     p_qs = quot_sub.add_parser("series", help="Euler characteristic series")
@@ -117,8 +116,7 @@ def _run(args) -> int:
                     cells = " ".join(
                         f"{w}:{c}" for w, c in rec.coprofile.entries
                     )
-                    flag = "feasible" if rec.feasible else "infeasible"
-                    print(f"stratum [{cells}] euler={rec.euler} {flag}")
+                    print(f"stratum [{cells}] euler={rec.euler}")
                 print(f"total {summary.total}")
             else:
                 print(quot_fixed_euler(args.v, args.n, guard=args.guard))

@@ -37,8 +37,10 @@ right then; every extension of the branch keeps them, so infeasibility
 is monotone along a branch and an infeasible pair is cut with its whole
 subtree.  Every lex-order prefix of a consistent stratum is again a
 consistent stratum, so the search visits exactly the consistent strata.
-``enumerate_coprofiles`` and ``profile_constraint_system`` give the full
-stratification, infeasible strata included, for ``fixed_locus_summary``.
+``fixed_locus_summary`` lists the nodes of the same search at one
+colength.  ``enumerate_coprofiles`` and ``profile_constraint_system``
+build the full stratification, infeasible strata included, one
+coprofile at a time; they are the tests' reference for the search.
 
 ``stratum_euler_oracle_fp`` recomputes the same number independently by
 counting points over several prime fields and interpolating the count
@@ -80,9 +82,12 @@ class Coprofile:
     entries: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self):
-        norm = tuple(
-            (tuple(int(c) for c in w), int(c0)) for (w, c0) in self.entries
-        )
+        norm = tuple((tuple(w), c) for w, c in self.entries)
+        if not all(
+            len(w) == 3 and all(isinstance(x, int) for x in (*w, c))
+            for w, c in norm
+        ):
+            raise ValueError("weights must be three ints and drops ints")
         object.__setattr__(self, "entries", norm)
         weights = [w for w, _ in norm]
         if weights != sorted(weights):
@@ -129,20 +134,29 @@ def _fiber_tables(params: ReflexiveParams):
     return dim, line
 
 
-def _candidates(gens, chosen: list[tuple[Weight, int]]) -> list[Weight]:
+def _candidates(gens, drops: dict[Weight, int]) -> list[Weight]:
     """Weights the reachability rule lets a search add next, in lex order.
 
     These are the generator weights and the successors w + e_k of the
-    weights already chosen, kept when they come after the last weight
-    added.  Successors of nonzero fibers are nonzero.
+    weights already chosen (the keys of drops, in the order they were
+    added), kept when they come after the last weight added.  Successors
+    of nonzero fibers are nonzero.
     """
     found = set(gens)
-    for w, _ in chosen:
+    for w in drops:
         found.update((w[0] + e[0], w[1] + e[1], w[2] + e[2]) for e in _E)
-    if chosen:
-        last = chosen[-1][0]
+    if drops:
+        last = next(reversed(drops))
         return sorted(w for w in found if w > last)
     return sorted(found)
+
+
+def _check_order(order, guard: int) -> None:
+    """A search's colength bound must be an int >= 0 and at most guard."""
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"colength bound must be an int >= 0, got {order!r}")
+    if order > guard:
+        raise GuardExceeded(f"stratum search guarded at colength <= {guard}")
 
 
 def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
@@ -159,26 +173,23 @@ def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     w - e_k comes before w.
     """
     params = ReflexiveParams.of(v)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > guard:
-        raise GuardExceeded(f"coprofile enumeration guarded at n <= {guard}")
-
+    _check_order(n, guard)
     gens = params.generator_weights()
     dim, _ = _fiber_tables(params)
     out: list[Coprofile] = []
+    drops: dict[Weight, int] = {}
 
-    def grow(chosen: list[tuple[Weight, int]], remaining: int) -> None:
+    def grow(remaining: int) -> None:
         if remaining == 0:
-            out.append(Coprofile(tuple(chosen)))
+            out.append(Coprofile(tuple(drops.items())))
             return
-        for w in _candidates(gens, chosen):
+        for w in _candidates(gens, drops):
             for c in range(1, min(dim(w), remaining) + 1):
-                chosen.append((w, c))
-                grow(chosen, remaining - c)
-                chosen.pop()
+                drops[w] = c
+                grow(remaining - c)
+                del drops[w]
 
-    grow([], n)
+    grow(n)
     return sorted(out, key=lambda p: p.entries)
 
 
@@ -254,11 +265,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
     conditions of each target.
     """
-    return _constraint_system(*_fiber_tables(ReflexiveParams.of(v)), profile)
-
-
-def _constraint_system(dim, line, profile: Coprofile) -> ConstraintSystem:
-    """``profile_constraint_system`` read through given fiber tables."""
+    dim, line = _fiber_tables(ReflexiveParams.of(v))
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
@@ -289,30 +296,30 @@ def _constraint_system(dim, line, profile: Coprofile) -> ConstraintSystem:
 
 def _consistent_strata(params: ReflexiveParams, order: int):
     """Every stratum of total drop <= order whose constraint system is not
-    infeasible, as (Coprofile, ConstraintSystem), one per search node.
+    infeasible, as (entries, drop total, ConstraintSystem), one per search
+    node, in pre-order, which is lex order of the entries.
 
     The search is that of ``enumerate_coprofiles``, except that every node
     is a stratum of its own drop, and a (weight, drop) pair is decided the
     moment it is added: the drops of its predecessors are final then, so
     ``_target_rule`` settles its conditions, and an infeasible pair is cut
-    with its whole subtree.
+    with its whole subtree.  The entries are those a ``Coprofile`` keeps,
+    already valid, so none is built here.
     """
     gens = params.generator_weights()
     dim, line = _fiber_tables(params)
-    chosen: list[tuple[Weight, int]] = []
     drops: dict[Weight, int] = {}
 
     def grow(remaining, variables, fixed, links):
-        yield Coprofile(tuple(chosen)), ConstraintSystem(
+        yield tuple(drops.items()), order - remaining, ConstraintSystem(
             variables, dict(fixed), tuple(sorted(links))
         )
-        for w in _candidates(gens, chosen):
+        for w in _candidates(gens, drops):
             d = dim(w)
             for c in range(1, min(d, remaining) + 1):
                 forced, sources, infeasible = _target_rule(dim, line, w, c, drops)
                 if infeasible:
                     continue
-                chosen.append((w, c))
                 drops[w] = c
                 yield from grow(
                     remaining - c,
@@ -321,7 +328,6 @@ def _consistent_strata(params: ReflexiveParams, order: int):
                     links + tuple(Link(ws, w) for ws in sources),
                 )
                 del drops[w]
-                chosen.pop()
 
     yield from grow(order, (), {}, ())
 
@@ -431,7 +437,6 @@ def stratum_euler_oracle_fp(
 class StratumRecord:
     coprofile: Coprofile
     euler: int
-    feasible: bool
 
 
 @dataclass
@@ -449,11 +454,7 @@ class FixedLocusSummary:
                 "v": list(self.v),
                 "n": self.n,
                 "strata": [
-                    {
-                        "coprofile": s.coprofile.to_jsonable(),
-                        "euler": s.euler,
-                        "feasible": s.feasible,
-                    }
+                    {"coprofile": s.coprofile.to_jsonable(), "euler": s.euler}
                     for s in self.strata
                 ],
                 "total": self.total,
@@ -464,32 +465,29 @@ class FixedLocusSummary:
     def from_json(cls, text: str) -> "FixedLocusSummary":
         data = json.loads(text)
         strata = [
-            StratumRecord(
-                Coprofile.from_jsonable(s["coprofile"]), s["euler"], s["feasible"]
-            )
+            StratumRecord(Coprofile.from_jsonable(s["coprofile"]), s["euler"])
             for s in data["strata"]
         ]
         return cls(tuple(data["v"]), data["n"], strata, data["total"])
 
 
 def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
-    """Evaluate every stratum for colength n and collect the results.
+    """Every consistent stratum of colength n and its Euler characteristic.
 
-    Every enumerated coprofile gets a record, so the summary shows the
-    full stratification.  feasible is False exactly when the constraint
-    system is infeasible (euler is then 0); a feasible stratum can still
-    have euler 0, when a linked component is forced to two lines.
+    The strata are the nodes of the pruned search with drop exactly n, in
+    lex order of their entries.  A consistent stratum can still have
+    euler 0, when a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
-    dim, line = _fiber_tables(params)
-    records = []
-    total = 0
-    for profile in enumerate_coprofiles(params, n, guard=guard):
-        system = _constraint_system(dim, line, profile)
-        e = stratum_euler(system)
-        records.append(StratumRecord(profile, e, not system.infeasible))
-        total += e
-    return FixedLocusSummary(params.triple, n, records, total)
+    _check_order(n, guard)
+    records = [
+        StratumRecord(Coprofile(entries), stratum_euler(system))
+        for entries, drop, system in _consistent_strata(params, n)
+        if drop == n
+    ]
+    return FixedLocusSummary(
+        params.triple, n, records, sum(r.euler for r in records)
+    )
 
 
 def quot_fixed_euler(v, n: int, guard: int = 5) -> int:
@@ -504,11 +502,8 @@ def quot_series(v, order: int, guard: int = 5) -> TruncatedSeries:
     stratum adds its Euler characteristic to coefficient n.
     """
     params = ReflexiveParams.of(v)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > guard:
-        raise GuardExceeded(f"stratum search guarded at order <= {guard}")
+    _check_order(order, guard)
     coeffs = [0] * (order + 1)
-    for profile, system in _consistent_strata(params, order):
-        coeffs[profile.n] += stratum_euler(system)
+    for _, drop, system in _consistent_strata(params, order):
+        coeffs[drop] += stratum_euler(system)
     return TruncatedSeries(order, tuple(coeffs))

@@ -18,13 +18,13 @@ from quotbox.partitions import (
     partition_to_monomial_ideal,
 )
 from quotbox.quotfixed import (
-    fixed_locus_summary,
-    profile_constraint_system,
+    _consistent_strata,
     quot_fixed_euler,
     quot_series,
     stratum_euler,
     stratum_euler_oracle_fp,
 )
+from quotbox.reflexive import ReflexiveParams
 from quotbox.series import TruncatedSeries, box_product, macmahon, quot_closed_form
 
 GRID = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2), (1, 2, 3)]
@@ -101,16 +101,20 @@ def test_criterion_6_fat_point_ideals():
 
 
 def test_criterion_7_field_oracle_agreement():
+    # every consistent stratum of every grid triple through colength 5,
+    # 24 of them with links
     failures = []
-    for n in (0, 1, 2):
-        for rec in fixed_locus_summary((1, 1, 1), n).strata:
-            cs = profile_constraint_system((1, 1, 1), rec.coprofile)
+    linked = 0
+    for v in GRID:
+        for entries, _, cs in _consistent_strata(ReflexiveParams.of(v), 5):
             engine = stratum_euler(cs)
             oracle = stratum_euler_oracle_fp(cs)
-            if engine != oracle or engine != rec.euler:
-                failures.append((n, rec.coprofile.entries, engine, oracle))
-    report("7 field oracle agrees on every stratum", not failures)
-    assert not failures, failures
+            linked += bool(cs.links)
+            if engine != oracle:
+                failures.append((v, entries, engine, oracle))
+    ok = not failures and linked == 24
+    report("7 field oracle agrees on every stratum", ok)
+    assert ok, (failures, linked)
 
 
 def test_criterion_8_property_suite():

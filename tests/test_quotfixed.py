@@ -3,6 +3,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_coeff_table
 from quotbox.partitions import GuardExceeded
@@ -53,7 +54,18 @@ def test_coprofile_validation():
         Coprofile((((0, 1, 0), 0),))
     with pytest.raises(ValueError):
         Coprofile((((0, -1, 0), 1),))
+    # non-int entries are rejected, not truncated
+    with pytest.raises(ValueError):
+        Coprofile((((1.7, 1, 0.2), 1.9),))
+    with pytest.raises(ValueError):
+        Coprofile((((1, 1, 0), 1.0),))
+    with pytest.raises(ValueError):
+        Coprofile((((1, 1.0, 0), 1),))
+    with pytest.raises(ValueError):
+        Coprofile((((1, 1), 1),))
     p = Coprofile((((0, 1, 1), 1), ((1, 1, 1), 2)))
+    assert Coprofile.from_jsonable(p.to_jsonable()) == p
+    assert Coprofile((([0, 1, 1], 1),)).entries == (((0, 1, 1), 1),)
     assert p.n == 3
     assert p.support == ((0, 1, 1), (1, 1, 1))
     assert p.as_dict()[(1, 1, 1)] == 2
@@ -164,26 +176,23 @@ def test_profile_drop_exceeding_fiber_dim_raises():
 
 def test_colength_two_summary():
     summary = fixed_locus_summary((1, 1, 1), 2)
-    assert len(summary.strata) == 12
+    assert len(summary.strata) == 9
     assert summary.total == 9
-    feasible = [r for r in summary.strata if r.feasible]
-    assert len(feasible) == 9
-    assert all(r.euler == 1 for r in feasible)
-    # the infeasible strata pair a generator weight with the corner
-    for r in summary.strata:
-        if not r.feasible:
-            assert r.euler == 0
-            assert (1, 1, 1) in r.coprofile.support
+    assert all(r.euler == 1 for r in summary.strata)
+    # the strata that pair a generator weight with the corner are cut
+    assert all((1, 1, 1) not in r.coprofile.support for r in summary.strata)
 
 
 def test_feasible_label_follows_the_constraint_system():
+    # the summary lists exactly the consistent strata; a consistent
+    # stratum can still be empty
     summary = fixed_locus_summary((1, 1, 1), 5)
-    feasible = [r for r in summary.strata if r.feasible]
-    assert len(feasible) == 157
-    assert sum(1 for r in feasible if r.euler == 0) == 6
+    assert len(summary.strata) == 157
+    assert sum(1 for r in summary.strata if r.euler == 0) == 6
     for r in summary.strata:
         cs = profile_constraint_system((1, 1, 1), r.coprofile)
-        assert r.feasible == (not cs.infeasible)
+        assert not cs.infeasible
+        assert stratum_euler(cs) == r.euler
 
 
 def stratum_key(profile, cs):
@@ -206,9 +215,11 @@ def test_search_visits_exactly_the_consistent_strata():
         by_v[v] = max(by_v.get(v, 0), n)
     for v, order in by_v.items():
         visited = {}
-        for profile, cs in _consistent_strata(ReflexiveParams.of(v), order):
+        for entries, drop, cs in _consistent_strata(ReflexiveParams.of(v), order):
             assert not cs.infeasible
-            visited.setdefault(profile.n, []).append(stratum_key(profile, cs))
+            profile = Coprofile(entries)
+            assert profile.entries == entries and profile.n == drop
+            visited.setdefault(drop, []).append(stratum_key(profile, cs))
         for n in range(order + 1):
             full = {
                 stratum_key(p, cs)
@@ -304,12 +315,15 @@ def test_oracle_rejects_counts_that_are_not_polynomial():
 
 
 def test_engine_matches_oracle_on_real_strata():
+    # every consistent stratum of the grid through order 5; the linked
+    # ones are where dropping the union step would show
+    strata = linked = 0
     for v in GRID:
-        for n in (0, 1, 2, 3):
-            for rec in fixed_locus_summary(v, n).strata:
-                cs = profile_constraint_system(v, rec.coprofile)
-                assert stratum_euler(cs) == rec.euler
-                assert stratum_euler_oracle_fp(cs) == rec.euler
+        for _, _, cs in _consistent_strata(ReflexiveParams.of(v), 5):
+            assert stratum_euler(cs) == stratum_euler_oracle_fp(cs)
+            strata += 1
+            linked += bool(cs.links)
+    assert (strata, linked) == (2187, 24)
 
 
 def test_quot_fixed_euler_small():
@@ -331,25 +345,45 @@ def test_permutation_invariance():
             assert quot_series(perm, order, guard=order).coeffs == base.coeffs
 
 
-def test_guards(monkeypatch):
-    # the guard is checked before any stratum is evaluated
-    def no_work(cs):
-        raise AssertionError("stratum evaluated before the guard check")
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(
+    st.tuples(*[st.integers(1, 3)] * 3).flatmap(
+        lambda v: st.tuples(st.just(v), st.permutations(v))
+    )
+)
+def test_series_properties(case):
+    v, perm = case
+    series = quot_series(v, 7, guard=7)
+    assert series == quot_closed_form(v, 7)
+    assert quot_series(tuple(perm), 7, guard=7) == series
 
+
+def test_guards(monkeypatch):
+    # the guard and the colength type are checked before any search work
+    def no_work(*args):
+        raise AssertionError("search started before the guard check")
+
+    monkeypatch.setattr("quotbox.quotfixed._consistent_strata", no_work)
     monkeypatch.setattr("quotbox.quotfixed.stratum_euler", no_work)
     with pytest.raises(GuardExceeded):
         quot_fixed_euler((1, 1, 1), 7)
     with pytest.raises(GuardExceeded):
         quot_series((1, 1, 1), 7)
     with pytest.raises(GuardExceeded):
+        fixed_locus_summary((1, 1, 1), 6)
+    with pytest.raises(GuardExceeded):
         verify_product_formula((1, 1, 1), 6)
-    with pytest.raises(ValueError):
-        quot_series((1, 1, 1), -1)
+    for bad in (-1, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            quot_series((1, 1, 1), bad)
+        with pytest.raises(ValueError):
+            quot_fixed_euler((1, 1, 1), bad)
+        with pytest.raises(ValueError):
+            fixed_locus_summary((1, 1, 1), bad)
 
 
 def test_summary_reads_one_fiber_table(monkeypatch):
-    # one table for the enumeration and one for the constraint systems,
-    # not a fresh table per coprofile
+    # one table for the whole search, not a fresh table per stratum
     calls = collections.Counter()
 
     def counting(params, w):
@@ -371,9 +405,7 @@ def test_summary_structure_and_json():
     data = json.loads(summary.to_json())
     assert set(data) == {"v", "n", "strata", "total"}
     assert data["v"] == [1, 1, 1] and data["n"] == 1 and data["total"] == 3
-    assert all(
-        set(s) == {"coprofile", "euler", "feasible"} for s in data["strata"]
-    )
+    assert all(set(s) == {"coprofile", "euler"} for s in data["strata"])
     again = FixedLocusSummary.from_json(summary.to_json())
     assert again.to_json() == summary.to_json()
     assert again.strata[0].coprofile == summary.strata[0].coprofile
