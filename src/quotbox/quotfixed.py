@@ -37,10 +37,21 @@ right then; every extension of the branch keeps them, so infeasibility
 is monotone along a branch and an infeasible pair is cut with its whole
 subtree.  Every lex-order prefix of a consistent stratum is again a
 consistent stratum, so the search visits exactly the consistent strata.
+
+The search does little work per node.  Its candidates form a frontier:
+a child's list is the parent's list after the weight added, with that
+weight's three successors merged in.  A per-weight predecessor table
+holds, for each w, the predecessors' fiber dimensions and image lines,
+so ``_target_rule`` reads only the table and the predecessors' drops.
+The links and forced lines found so far live in a union-find with undo,
+which carries the count of unforced components and a clash flag, so the
+Euler characteristic of every node is known without building its
+constraint system or calling ``stratum_euler``.
 ``fixed_locus_summary`` lists the nodes of the same search at one
-colength.  ``enumerate_coprofiles`` and ``profile_constraint_system``
-build the full stratification, infeasible strata included, one
-coprofile at a time; they are the tests' reference for the search.
+colength.  ``enumerate_coprofiles``, ``profile_constraint_system`` and
+``stratum_euler`` build and evaluate the full stratification, infeasible
+strata included, one coprofile at a time; they are the tests' reference
+for the search.
 
 ``stratum_euler_oracle_fp`` recomputes the same number independently by
 counting points over several prime fields and interpolating the count
@@ -50,6 +61,7 @@ and search depth are guarded.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -59,7 +71,7 @@ from fractions import Fraction
 
 from .partitions import GuardExceeded
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _series_order
 
 Point = tuple[int, int]
 
@@ -119,43 +131,52 @@ class Coprofile:
 
 
 def _fiber_tables(params: ReflexiveParams):
-    """Memoized fiber dimension at w, and the normalized line that
-    multiplication by x_k carries a 1-dimensional fiber at w to."""
+    """Memoized fiber dimension at w, and the predecessor table of w.
+
+    preds(w) holds one (w - e_k, its fiber dimension, image line) for each
+    k whose predecessor fiber is nonzero.  The image line is the
+    normalized line that x_k carries that fiber to when it is
+    1-dimensional and the fiber at w is 2-dimensional, else None.
+    """
 
     @functools.cache
     def dim(w: Weight) -> int:
         return fiber_dim(params, w)
 
     @functools.cache
-    def line(w: Weight, k: int) -> Point:
-        (x,), (y,) = mult_matrix(params, w, k).matrix
-        return _normalize_point(x, y)
+    def preds(w: Weight):
+        out = []
+        for k, e in enumerate(_E, 1):
+            ws = (w[0] - e[0], w[1] - e[1], w[2] - e[2])
+            if min(ws) < 0 or not (ds := dim(ws)):
+                continue
+            image = None
+            if ds == 1 and dim(w) == 2:
+                (x,), (y,) = mult_matrix(params, ws, k).matrix
+                image = _normalize_point(x, y)
+            out.append((ws, ds, image))
+        return tuple(out)
 
-    return dim, line
+    return dim, preds
 
 
-def _candidates(gens, drops: dict[Weight, int]) -> list[Weight]:
-    """Weights the reachability rule lets a search add next, in lex order.
-
-    These are the generator weights and the successors w + e_k of the
-    weights already chosen (the keys of drops, in the order they were
-    added), kept when they come after the last weight added.  Successors
-    of nonzero fibers are nonzero.
-    """
-    found = set(gens)
-    for w in drops:
-        found.update((w[0] + e[0], w[1] + e[1], w[2] + e[2]) for e in _E)
-    if drops:
-        last = next(reversed(drops))
-        return sorted(w for w in found if w > last)
-    return sorted(found)
+def _frontier(cands: list[Weight], i: int) -> list[Weight]:
+    """The candidates once w = cands[i] is added, in lex order: those
+    after w in cands, with the successors w + e_k (which come after w)
+    merged in where missing."""
+    w = cands[i]
+    out = cands[i + 1 :]
+    lo = 0
+    for s in ((w[0], w[1], w[2] + 1), (w[0], w[1] + 1, w[2]), (w[0] + 1, w[1], w[2])):
+        lo = bisect.bisect_left(out, s, lo)
+        if lo == len(out) or out[lo] != s:
+            out.insert(lo, s)
+    return out
 
 
 def _check_order(order, guard: int) -> None:
     """A search's colength bound must be an int >= 0 and at most guard."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"colength bound must be an int >= 0, got {order!r}")
-    if order > guard:
+    if _series_order(order) > guard:
         raise GuardExceeded(f"stratum search guarded at colength <= {guard}")
 
 
@@ -163,33 +184,35 @@ def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     """All coprofiles of total drop n for the module attached to v.
 
     A depth-first search adds (weight, drop) pairs in increasing lex order
-    of weight, the order Coprofile entries are kept in.  The candidate
-    weights at a node are those of ``_candidates``; each takes a drop
+    of weight, the order Coprofile entries are kept in.  The candidates
+    at the root are the generator weights; a child's candidates are those
+    of ``_frontier``, the parent's candidates after the weight added plus
+    its successors w + e_k.  Each candidate takes a drop
     1 <= c <= min(fiber dimension, remaining drop), and a coprofile is
     complete when the remaining drop is 0.  Candidates are exactly the
-    weights the reachability rule allows.  Each coprofile is produced
-    exactly once: its weights can only be added in lex order, and every
-    lex-order prefix of a valid support is valid, because a predecessor
-    w - e_k comes before w.
+    weights the reachability rule allows (successors of nonzero fibers
+    are nonzero).  Each coprofile is produced exactly once: its weights
+    can only be added in lex order, and every lex-order prefix of a valid
+    support is valid, because a predecessor w - e_k comes before w.
     """
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
-    gens = params.generator_weights()
     dim, _ = _fiber_tables(params)
     out: list[Coprofile] = []
     drops: dict[Weight, int] = {}
 
-    def grow(remaining: int) -> None:
+    def grow(cands: list[Weight], remaining: int) -> None:
         if remaining == 0:
             out.append(Coprofile(tuple(drops.items())))
             return
-        for w in _candidates(gens, drops):
+        for i, w in enumerate(cands):
+            after = _frontier(cands, i)
             for c in range(1, min(dim(w), remaining) + 1):
                 drops[w] = c
-                grow(remaining - c)
+                grow(after, remaining - c)
                 del drops[w]
 
-    grow(n)
+    grow(sorted(params.generator_weights()), n)
     return sorted(out, key=lambda p: p.entries)
 
 
@@ -221,32 +244,26 @@ class ConstraintSystem:
     infeasible: bool = False
 
 
-def _target_rule(dim, line, wt: Weight, ct: int, drops: dict[Weight, int]):
-    """Decide the conditions x_k F_{wt - e_k} <= F_wt for one target.
+def _target_rule(preds, free_t: int, drops: dict[Weight, int]):
+    """Decide the conditions x_k F_{w - e_k} <= F_w for one target w.
 
+    preds is the predecessor table of w and free_t = dim(w) - drop(w).
     Every multiplication map has rank equal to its source dimension, so
     only dimensions decide the outcome: a full 1-dimensional source forces
     a free target line to its image, a free line source links to a free
     target line, and any other nonzero source leaves too little room in
     the target.  Returns (forced line or None, link sources, infeasible);
     a second, different forced line makes the target infeasible and the
-    first one is kept.  Only the drops at the predecessors wt - e_k are
-    read.
+    first one is kept.  Only the drops at the predecessors are read.
     """
-    free_t = dim(wt) - ct
     forced = None
     sources = []
     infeasible = False
-    for k in (1, 2, 3):
-        ws = (wt[0] - _E[k - 1][0], wt[1] - _E[k - 1][1], wt[2] - _E[k - 1][2])
-        if min(ws) < 0:
-            continue
-        ds = dim(ws)
+    for ws, ds, image in preds:
         cs = drops.get(ws, 0)
         if ds == cs:
-            continue  # zero or fully removed source fiber, no condition
+            continue  # fully removed source fiber, no condition
         if free_t == 1 and ds == 1:
-            image = line(ws, k)
             if forced is None:
                 forced = image
             elif forced != image:
@@ -265,7 +282,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
     conditions of each target.
     """
-    dim, line = _fiber_tables(ReflexiveParams.of(v))
+    dim, preds = _fiber_tables(ReflexiveParams.of(v))
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
@@ -280,7 +297,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
             variables.append(w)
 
     for wt, ct in profile.entries:
-        forced, sources, bad = _target_rule(dim, line, wt, ct, drops)
+        forced, sources, bad = _target_rule(preds(wt), dim(wt) - ct, drops)
         if forced is not None:
             fixed[wt] = forced
         links.extend(Link(ws, wt) for ws in sources)
@@ -296,8 +313,8 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
 
 def _consistent_strata(params: ReflexiveParams, order: int):
     """Every stratum of total drop <= order whose constraint system is not
-    infeasible, as (entries, drop total, ConstraintSystem), one per search
-    node, in pre-order, which is lex order of the entries.
+    infeasible, as (entries, drop total, Euler characteristic), one per
+    search node, in pre-order, which is lex order of the entries.
 
     The search is that of ``enumerate_coprofiles``, except that every node
     is a stratum of its own drop, and a (weight, drop) pair is decided the
@@ -305,31 +322,81 @@ def _consistent_strata(params: ReflexiveParams, order: int):
     ``_target_rule`` settles its conditions, and an infeasible pair is cut
     with its whole subtree.  The entries are those a ``Coprofile`` keeps,
     already valid, so none is built here.
-    """
-    gens = params.generator_weights()
-    dim, line = _fiber_tables(params)
-    drops: dict[Weight, int] = {}
 
-    def grow(remaining, variables, fixed, links):
-        yield tuple(drops.items()), order - remaining, ConstraintSystem(
-            variables, dict(fixed), tuple(sorted(links))
-        )
-        for w in _candidates(gens, drops):
+    The line variables of the branch live in a union-find with undo (union
+    by size, no path compression): a link merges two components, and each
+    root keeps the line its component is forced to, or None.  Along with
+    it the search carries the number of unforced components and whether
+    some component was forced to two different lines, so the Euler
+    characteristic of each node, 0 on such a clash and otherwise
+    2^(unforced components), is known without a constraint system.
+    """
+    dim, preds = _fiber_tables(params)
+    drops: dict[Weight, int] = {}
+    parent: dict[Weight, Weight] = {}  # a root is its own parent
+    size: dict[Weight, int] = {}
+    line: dict[Weight, Point | None] = {}  # forced line of each root
+
+    def find(x: Weight) -> Weight:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def add_variable(w, forced, sources, free, clash):
+        """Add line variable w, forced or not, linked to sources.  Returns
+        the merges made, to undo, and the new (free, clash)."""
+        parent[w] = w
+        size[w] = 1
+        line[w] = forced
+        free += forced is None
+        merges = []
+        for ws in sources:
+            a, b = find(ws), find(w)
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            la, lb = line[a], line[b]
+            merges.append((b, a, la))
+            parent[b] = a
+            size[a] += size[b]
+            if la is None or lb is None:
+                free -= 1  # an unforced component joins another
+                if la is None:
+                    line[a] = lb
+            elif la != lb:
+                clash = True
+        return merges, free, clash
+
+    def remove_variable(w, merges):
+        for b, a, la in reversed(merges):
+            parent[b] = b
+            size[a] -= size[b]
+            line[a] = la
+        del parent[w], size[w], line[w]
+
+    def grow(cands, remaining, free, clash):
+        yield tuple(drops.items()), order - remaining, 0 if clash else 1 << free
+        for i, w in enumerate(cands):
             d = dim(w)
+            table = preds(w)
+            after = None
             for c in range(1, min(d, remaining) + 1):
-                forced, sources, infeasible = _target_rule(dim, line, w, c, drops)
+                forced, sources, infeasible = _target_rule(table, d - c, drops)
                 if infeasible:
                     continue
+                if after is None:
+                    after = _frontier(cands, i)
                 drops[w] = c
-                yield from grow(
-                    remaining - c,
-                    variables + (w,) if d == 2 and c == 1 else variables,
-                    fixed if forced is None else {**fixed, w: forced},
-                    links + tuple(Link(ws, w) for ws in sources),
-                )
+                if d == 2 and c == 1:
+                    merges, f, cl = add_variable(w, forced, sources, free, clash)
+                    yield from grow(after, remaining - c, f, cl)
+                    remove_variable(w, merges)
+                else:
+                    yield from grow(after, remaining - c, free, clash)
                 del drops[w]
 
-    yield from grow(order, (), {}, ())
+    yield from grow(sorted(params.generator_weights()), order, 0, False)
 
 
 def stratum_euler(cs: ConstraintSystem) -> int:
@@ -481,8 +548,8 @@ def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
     records = [
-        StratumRecord(Coprofile(entries), stratum_euler(system))
-        for entries, drop, system in _consistent_strata(params, n)
+        StratumRecord(Coprofile(entries), chi)
+        for entries, drop, chi in _consistent_strata(params, n)
         if drop == n
     ]
     return FixedLocusSummary(
@@ -504,6 +571,6 @@ def quot_series(v, order: int, guard: int = 5) -> TruncatedSeries:
     params = ReflexiveParams.of(v)
     _check_order(order, guard)
     coeffs = [0] * (order + 1)
-    for _, drop, system in _consistent_strata(params, order):
-        coeffs[drop] += stratum_euler(system)
+    for _, drop, chi in _consistent_strata(params, order):
+        coeffs[drop] += chi
     return TruncatedSeries(order, tuple(coeffs))

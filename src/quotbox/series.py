@@ -213,6 +213,14 @@ def _over_one_minus_q_pow(a: list[int], e: int) -> None:
         a[n] += a[n - e]
 
 
+def _series_order(order) -> int:
+    """A truncation order as an int >= 0; anything else, a bool included,
+    is a ValueError."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise ValueError(f"order must be an int >= 0, got {order!r}")
+    return order
+
+
 def macmahon(order: int) -> TruncatedSeries:
     """MacMahon's function prod_{k>=1} (1 - q^k)^(-k) up to q^order.
 
@@ -220,7 +228,7 @@ def macmahon(order: int) -> TruncatedSeries:
     (1 - q^k)^(-1) is applied in place as one ascending pass, k passes
     for each k <= order, about order^3 / 6 additions in all.
     """
-    a = [1] + [0] * order
+    a = [1] + [0] * _series_order(order)
     for k in range(1, order + 1):
         for _ in range(k):
             _over_one_minus_q_pow(a, k)
@@ -228,9 +236,13 @@ def macmahon(order: int) -> TruncatedSeries:
 
 
 def _box_triple(v) -> tuple[int, int, int]:
-    """The triple v as three ints >= 1; anything else is a ValueError."""
+    """The triple v as three ints >= 1; anything else, a bool included, is
+    a ValueError."""
     v1, v2, v3 = v
-    if not all(isinstance(c, int) and c >= 1 for c in (v1, v2, v3)):
+    if not all(
+        isinstance(c, int) and not isinstance(c, bool) and c >= 1
+        for c in (v1, v2, v3)
+    ):
         raise ValueError("box sides must be integers >= 1")
     return v1, v2, v3
 
@@ -251,8 +263,7 @@ def box_product(v, order: int | None = None) -> TruncatedSeries:
     palindromic); order defaults to exactly that degree.
     """
     v1, v2, v3 = _box_triple(v)
-    if order is None:
-        order = v1 * v2 * v3
+    order = v1 * v2 * v3 if order is None else _series_order(order)
     a = [1] + [0] * order
     for i in range(1, v1 + 1):
         for j in range(1, v2 + 1):
@@ -268,5 +279,6 @@ def quot_closed_form(v, order: int) -> TruncatedSeries:
     rank-2 module attached to v:  macmahon(order)^2 * box_product(v, order).
     """
     _box_triple(v)
+    _series_order(order)
     m = macmahon(order)
     return m * m * box_product(v, order)

@@ -2,6 +2,9 @@ import os
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
+# the triples the engine tests and acceptance criteria run on
+GRID = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2), (1, 2, 3)]
+
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURE_DIR, name)

@@ -8,6 +8,7 @@ import collections
 import itertools
 import random
 
+from conftest import GRID
 from quotbox.partitions import (
     box_partition_polynomial_dp,
     count_box_partitions,
@@ -18,7 +19,9 @@ from quotbox.partitions import (
     partition_to_monomial_ideal,
 )
 from quotbox.quotfixed import (
+    Coprofile,
     _consistent_strata,
+    profile_constraint_system,
     quot_fixed_euler,
     quot_series,
     stratum_euler,
@@ -26,8 +29,6 @@ from quotbox.quotfixed import (
 )
 from quotbox.reflexive import ReflexiveParams
 from quotbox.series import TruncatedSeries, box_product, macmahon, quot_closed_form
-
-GRID = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2), (1, 2, 3)]
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -101,20 +102,23 @@ def test_criterion_6_fat_point_ideals():
 
 
 def test_criterion_7_field_oracle_agreement():
-    # every consistent stratum of every grid triple through colength 5,
-    # 24 of them with links
+    # every stratum the search finds for a grid triple through colength 5,
+    # 2,187 of them and 24 with links: its reference system is consistent
+    # and the search, the engine and the field oracle agree on it
     failures = []
-    linked = 0
+    strata = linked = 0
     for v in GRID:
-        for entries, _, cs in _consistent_strata(ReflexiveParams.of(v), 5):
+        for entries, _, chi in _consistent_strata(ReflexiveParams.of(v), 5):
+            cs = profile_constraint_system(v, Coprofile(entries))
             engine = stratum_euler(cs)
             oracle = stratum_euler_oracle_fp(cs)
+            strata += 1
             linked += bool(cs.links)
-            if engine != oracle:
-                failures.append((v, entries, engine, oracle))
-    ok = not failures and linked == 24
+            if cs.infeasible or not chi == engine == oracle:
+                failures.append((v, entries, cs.infeasible, chi, engine, oracle))
+    ok = not failures and (strata, linked) == (2187, 24)
     report("7 field oracle agrees on every stratum", ok)
-    assert ok, (failures, linked)
+    assert ok, (failures, strata, linked)
 
 
 def test_criterion_8_property_suite():

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_coeff_table
+from conftest import GRID, load_coeff_table
 from quotbox.partitions import GuardExceeded
 from quotbox.quotfixed import (
     ConstraintSystem,
@@ -27,8 +27,6 @@ from quotbox.verify import verify_product_formula
 
 
 GOLDEN_SERIES = load_coeff_table("quot_series.txt")
-
-GRID = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 2, 2), (1, 2, 3)]
 
 
 def system(variables=(), fixed=None, links=(), infeasible=False):
@@ -195,13 +193,14 @@ def test_feasible_label_follows_the_constraint_system():
         assert stratum_euler(cs) == r.euler
 
 
-def stratum_key(profile, cs):
-    return (
-        profile.entries,
-        cs.variables,
-        tuple(sorted(cs.fixed_lines.items())),
-        cs.links,
-    )
+def reference_system(v, entries, drop):
+    """The reference constraint system of a stratum the search yields;
+    the search only yields strata it found consistent."""
+    profile = Coprofile(entries)
+    assert profile.entries == entries and profile.n == drop
+    cs = profile_constraint_system(v, profile)
+    assert not cs.infeasible
+    return cs
 
 
 SEARCH_CASES = [(v, n) for v in GRID for n in range(5)] + [
@@ -210,19 +209,19 @@ SEARCH_CASES = [(v, n) for v in GRID for n in range(5)] + [
 
 
 def test_search_visits_exactly_the_consistent_strata():
+    # the search's Euler characteristic at every node is that of the
+    # reference system, and its nodes are exactly the consistent strata
     by_v = {}
     for v, n in SEARCH_CASES:
         by_v[v] = max(by_v.get(v, 0), n)
     for v, order in by_v.items():
         visited = {}
-        for entries, drop, cs in _consistent_strata(ReflexiveParams.of(v), order):
-            assert not cs.infeasible
-            profile = Coprofile(entries)
-            assert profile.entries == entries and profile.n == drop
-            visited.setdefault(drop, []).append(stratum_key(profile, cs))
+        for entries, drop, chi in _consistent_strata(ReflexiveParams.of(v), order):
+            assert chi == stratum_euler(reference_system(v, entries, drop))
+            visited.setdefault(drop, []).append((entries, chi))
         for n in range(order + 1):
             full = {
-                stratum_key(p, cs)
+                (p.entries, stratum_euler(cs))
                 for p in enumerate_coprofiles(v, n)
                 for cs in [profile_constraint_system(v, p)]
                 if not cs.infeasible
@@ -314,16 +313,24 @@ def test_oracle_rejects_counts_that_are_not_polynomial():
         stratum_euler_oracle_fp(cs)
 
 
+def checked_strata(v, order):
+    """(reference system, χ) of each stratum the search yields, after
+    checking the search's χ against the engine and the field oracle."""
+    for entries, drop, chi in _consistent_strata(ReflexiveParams.of(v), order):
+        cs = reference_system(v, entries, drop)
+        assert chi == stratum_euler(cs) == stratum_euler_oracle_fp(cs)
+        yield cs, chi
+
+
 def test_engine_matches_oracle_on_real_strata():
     # every consistent stratum of the grid through order 5; the linked
     # ones are where dropping the union step would show
-    strata = linked = 0
-    for v in GRID:
-        for _, _, cs in _consistent_strata(ReflexiveParams.of(v), 5):
-            assert stratum_euler(cs) == stratum_euler_oracle_fp(cs)
-            strata += 1
-            linked += bool(cs.links)
-    assert (strata, linked) == (2187, 24)
+    systems = [cs for v in GRID for cs, _ in checked_strata(v, 5)]
+    assert (len(systems), sum(bool(cs.links) for cs in systems)) == (2187, 24)
+    # and through order 6, where components clash
+    for v, count, empty in [((1, 1, 1), 624, 24), ((2, 2, 2), 989, 0), ((1, 2, 3), 859, 1)]:
+        chis = [chi for _, chi in checked_strata(v, 6)]
+        assert (len(chis), chis.count(0)) == (count, empty)
 
 
 def test_quot_fixed_euler_small():
@@ -336,6 +343,11 @@ def test_quot_series_matches_golden():
     for key, coeffs in GOLDEN_SERIES.items():
         v, order = key[:3], key[3]
         assert list(quot_series(v, order).coeffs) == coeffs
+
+
+def test_series_matches_closed_form_at_order_ten():
+    for v in [(1, 1, 1), (2, 2, 2), (1, 2, 3)]:
+        assert quot_series(v, 10, guard=10) == quot_closed_form(v, 10)
 
 
 def test_permutation_invariance():
@@ -373,7 +385,7 @@ def test_guards(monkeypatch):
         fixed_locus_summary((1, 1, 1), 6)
     with pytest.raises(GuardExceeded):
         verify_product_formula((1, 1, 1), 6)
-    for bad in (-1, 2.5, 2.0, "2", None):
+    for bad in (-1, 2.5, 2.0, "2", None, True, False):
         with pytest.raises(ValueError):
             quot_series((1, 1, 1), bad)
         with pytest.raises(ValueError):

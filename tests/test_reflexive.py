@@ -29,6 +29,12 @@ def test_params_validation():
         ReflexiveParams.of((2.7, 1, 1))
     with pytest.raises(ValueError):
         quot_series((1.9, 1, 1), 2)
+    with pytest.raises(ValueError):
+        ReflexiveParams.of((True, 1, 1))
+    with pytest.raises(ValueError):
+        ReflexiveParams(1, 1, True)
+    with pytest.raises(ValueError):
+        quot_series((True, 1, 1), 1)
     p = ReflexiveParams.of([2, 1, 3])
     assert tuple(p) == (2, 1, 3)
     assert p.triple == (2, 1, 3)

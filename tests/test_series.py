@@ -180,6 +180,17 @@ def test_box_product_rejects_bad_sides():
         box_product((1, -2, 1))
     with pytest.raises(ValueError):
         box_product((1.5, 2, 2))
+    with pytest.raises(ValueError):
+        box_product((True, 2, 2))
+    # the order, where given, is an int >= 0 and not a bool
+    for bad in (2.5, 2.0, "2", None, True, False, -1):
+        with pytest.raises(ValueError):
+            macmahon(bad)
+        with pytest.raises(ValueError):
+            quot_closed_form((1, 1, 1), bad)
+        if bad is not None:
+            with pytest.raises(ValueError):
+                box_product((1, 1, 1), bad)
 
 
 def test_box_product_symmetry():
