@@ -30,7 +30,7 @@ print("product formula), here for a 2 x 2 x 2 box:")
 v = (2, 2, 2)
 dp = box_partition_polynomial_dp(v)
 prod = box_product(v)
-brute = [count_box_partitions(v, n) for n in range(9)]
+brute = count_box_partitions(v)
 print(f"  enumeration: {brute}")
 print(f"  DP:          {list(dp.coeffs)}")
 print(f"  product:     {list(prod.coeffs)}")

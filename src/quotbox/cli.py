@@ -105,7 +105,10 @@ def _run(args) -> int:
         if args.count_cmd == "pp":
             print(len(enumerate_plane_partitions(args.n, guard=args.guard)))
         else:
-            print(count_box_partitions(args.v, args.n))
+            if args.n < 0:
+                raise ValueError("n must be >= 0")
+            counts = count_box_partitions(args.v)
+            print(counts[args.n] if args.n < len(counts) else 0)
         return 0
 
     if args.command == "quot":

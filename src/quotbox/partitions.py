@@ -6,10 +6,16 @@ boxes form a downward-closed subset of Z_{>=0}^3 (the staircase), which is
 also how the bijection with finite-colength monomial ideals works: the
 staircase is the set of monomials outside the ideal.
 
+Every brute-force route reads one stack walker, ``_stacks``: it visits
+each stack of rows under a bound whose total is at most a budget exactly
+once and yields it with its total.  ``enumerate_plane_partitions`` keeps
+the stacks of one total; the counters bucket every stack by its total,
+so one walk counts every size.
+
 Three independent counting routes are provided for box-bounded partitions,
 kept deliberately separate so they can check each other:
 
-* direct enumeration (``count_box_partitions``),
+* direct enumeration, one walk bucketed by size (``count_box_partitions``),
 * a row-by-row transfer DP (``box_partition_polynomial_dp``),
 * the closed-form product (``quotbox.series.box_product``).
 
@@ -31,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, _box_triple
+from .series import TruncatedSeries, _box_triple, _series_order
 
 
 class GuardExceeded(RuntimeError):
@@ -124,67 +130,84 @@ class PlanePartition:
         return cls.from_boxes(tuple(t) for t in json.loads(text))
 
 
-def _rows_fitting(bound, smax):
-    """Weakly decreasing positive tuples fitting under bound, sum <= smax.
+def _rows_fitting(bound, budget):
+    """Every nonempty row under bound with sum <= budget, with its sum.
 
-    bound is itself weakly decreasing; position b is capped by bound[b].
+    A row is a weakly decreasing tuple of positive heights; bound is
+    itself weakly decreasing and caps position b at bound[b].
     """
-    def rec(b, cap, budget):
-        yield ()
-        if b >= len(bound) or budget < 1:
-            return
-        top = min(cap, bound[b], budget)
-        for h in range(top, 0, -1):
-            for rest in rec(b + 1, h, budget - h):
-                yield (h,) + rest
+    out = []
 
-    for row in rec(0, smax, smax):
-        yield row
+    def rec(row, total):
+        b = len(row)
+        if b == len(bound):
+            return
+        cap = min(row[-1] if row else bound[0], bound[b], budget - total)
+        for h in range(cap, 0, -1):
+            longer = row + (h,)
+            out.append((longer, total + h))
+            rec(longer, total + h)
+
+    rec((), 0)
+    return out
 
 
 def _stacks(bound, budget, max_rows):
-    """Row stacks under bound with at most max_rows rows and total == budget."""
-    if budget == 0:
-        yield ()
-        return
-    if max_rows == 0:
-        return
-    for row in _rows_fitting(bound, budget):
-        if not row:
-            continue
-        s = sum(row)
-        for rest in _stacks(row, budget - s, max_rows - 1):
-            yield (row,) + rest
+    """Every row stack with total <= budget, together with that total.
+
+    A stack is a tuple of at most max_rows nonempty rows, the first under
+    bound and each later row under the one before it; the empty stack is
+    one of them.  Each stack is visited exactly once, depth first and
+    unsorted.
+    """
+    todo = [((), bound, 0)]
+    while todo:
+        stack, last, total = todo.pop()
+        yield stack, total
+        if len(stack) < max_rows:
+            todo.extend(
+                (stack + (row,), row, total + s)
+                for row, s in _rows_fitting(last, budget - total)
+            )
+
+
+def _counts_by_total(stacks, budget) -> list[int]:
+    """counts[n] = number of the given (stack, total) pairs with total n."""
+    counts = [0] * (budget + 1)
+    for _, total in stacks:
+        counts[total] += 1
+    return counts
 
 
 def enumerate_plane_partitions(n: int, guard: int = 12) -> list[PlanePartition]:
     """All plane partitions of n, sorted by height matrix.
 
     Exhaustive, so intended for n up to about 12; larger n raises
-    GuardExceeded unless the guard is raised explicitly.
+    GuardExceeded unless the guard is raised explicitly.  n must be an
+    int >= 0 (not a bool), else ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _series_order(n)
     if n > guard:
         raise GuardExceeded(f"plane partition enumeration guarded at n <= {guard}")
-    bound = (n,) * max(n, 1)
-    found = [PlanePartition(rows) for rows in _stacks(bound, n, max(n, 1))]
+    found = [
+        PlanePartition(rows)
+        for rows, total in _stacks((n,) * n, n, n)
+        if total == n
+    ]
     return sorted(found, key=lambda p: p.rows)
 
 
-def count_box_partitions(v, n: int) -> int:
-    """Number of plane partitions of n fitting inside a v1 x v2 x v3 box.
+def count_box_partitions(v) -> list[int]:
+    """Plane partitions inside a v1 x v2 x v3 box, counted by size.
 
-    Counts by direct enumeration; this is the brute-force reference for
-    the DP and the product formula.
+    Entry n of the returned list, for n = 0 .. v1*v2*v3, is the number of
+    partitions of n in the box.  One walk visits every stack of at most
+    v1 rows under the top row (v3,) * v2 and buckets it by its total;
+    this is the brute-force reference for the DP and the product formula.
     """
     v1, v2, v3 = _box_triple(v)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > v1 * v2 * v3:
-        return 0
-    bound = (v3,) * v2
-    return sum(1 for _ in _stacks(bound, n, v1))
+    volume = v1 * v2 * v3
+    return _counts_by_total(_stacks((v3,) * v2, volume, v1), volume)
 
 
 def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSeries:
@@ -394,15 +417,22 @@ def enumerate_box_monomial_ideals(v, guard: int = 1 << 16) -> list[MonomialIdeal
     return out
 
 
-def count_partition_pairs(n: int, guard: int = 12) -> int:
-    """Number of ordered pairs of plane partitions with total size n.
+def count_partition_pairs(order: int, guard: int = 12) -> list[int]:
+    """Ordered pairs of plane partitions, counted by total size.
 
-    Convolution of plane partition counts; the brute-force reference for
-    the q^n coefficient of macmahon^2.
+    Entry n of the returned list, for n = 0 .. order, is the number of
+    pairs (P, Q) with |P| + |Q| = n.  One walk visits every plane
+    partition of size <= order and buckets it by size, and the pair
+    counts are the convolution of those buckets; this is the brute-force
+    reference for the coefficients of macmahon^2.  order must be an int
+    >= 0 (not a bool), else ValueError; above guard it raises
+    GuardExceeded before any work.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > guard:
-        raise GuardExceeded(f"pair counting guarded at n <= {guard}")
-    counts = [len(enumerate_plane_partitions(k, guard=guard)) for k in range(n + 1)]
-    return sum(counts[k] * counts[n - k] for k in range(n + 1))
+    order = _series_order(order)
+    if order > guard:
+        raise GuardExceeded(f"pair counting guarded at order <= {guard}")
+    counts = _counts_by_total(_stacks((order,) * order, order, order), order)
+    return [
+        sum(counts[k] * counts[n - k] for k in range(n + 1))
+        for n in range(order + 1)
+    ]

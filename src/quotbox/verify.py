@@ -126,14 +126,14 @@ def verify_product_formula(v, order: int, guard: int = 5) -> VerificationReport:
 def verify_stanley(v) -> VerificationReport:
     """Three-way box-bounded partition counts for every size.
 
-    Both the enumeration and the DP are checked against the product
-    formula.  lhs reports the enumeration counts when they disagree with
-    the product, and otherwise the DP counts, which then equal them.
+    The enumeration (one walk over the box's stacks, bucketed by size)
+    and the DP are both checked against the product formula.  lhs
+    reports the enumeration counts when they disagree with the product,
+    and otherwise the DP counts, which then equal them.
     """
     params = ReflexiveParams.of(v)
     start = time.perf_counter()
-    order = params.box_volume
-    brute = [count_box_partitions(params.triple, n) for n in range(order + 1)]
+    brute = count_box_partitions(params.triple)
     dp = list(box_partition_polynomial_dp(params.triple).coeffs)
     prod = list(box_product(params.triple).coeffs)
     lhs = brute if brute != prod else dp
@@ -152,7 +152,7 @@ def verify_hilb_counts(v) -> VerificationReport:
     by_colength = [0] * (order + 1)
     for ideal in enumerate_box_monomial_ideals(params.triple):
         by_colength[ideal.colength()] += 1
-    boxes = [count_box_partitions(params.triple, n) for n in range(order + 1)]
+    boxes = count_box_partitions(params.triple)
     extra_ok = (
         by_colength[order] != 0
         and by_colength == by_colength[::-1]
@@ -165,7 +165,7 @@ def verify_hilb_counts(v) -> VerificationReport:
 def verify_rank2_free(order: int, guard: int = 12) -> VerificationReport:
     """Pair counts against macmahon^2, the series of the free rank-2 case."""
     start = time.perf_counter()
-    lhs = [count_partition_pairs(n, guard=guard) for n in range(order + 1)]
+    lhs = count_partition_pairs(order, guard=guard)
     m = macmahon(order)
     rhs = list((m * m).coeffs)
     return _finish("rank2free", {"order": order}, lhs, rhs, start)

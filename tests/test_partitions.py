@@ -35,8 +35,9 @@ def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         enumerate_plane_partitions(13)
     assert len(enumerate_plane_partitions(13, guard=13)) == 2485
-    with pytest.raises(ValueError):
-        enumerate_plane_partitions(-1)
+    for bad in (-1, True, False, 2.5):
+        with pytest.raises(ValueError):
+            enumerate_plane_partitions(bad)
 
 
 def test_enumeration_is_sorted_and_unique():
@@ -100,19 +101,27 @@ def test_partition_serialization():
 
 
 def test_count_box_small():
-    assert [count_box_partitions((1, 1, 1), n) for n in range(3)] == [1, 1, 0]
-    assert count_box_partitions((2, 2, 2), 4) == 4
+    assert count_box_partitions((1, 1, 1)) == [1, 1]
+    assert count_box_partitions((2, 2, 2))[4] == 4
     with pytest.raises(ValueError):
-        count_box_partitions((1, 1, 1), -1)
-    with pytest.raises(ValueError):
-        count_box_partitions((0, 1, 1), 0)
+        count_box_partitions((0, 1, 1))
 
 
 def test_count_box_matches_golden():
     for v, coeffs in GOLDEN_BOXES.items():
-        for n, c in enumerate(coeffs):
-            assert count_box_partitions(v, n) == c
-        assert count_box_partitions(v, len(coeffs)) == 0
+        assert count_box_partitions(v) == coeffs
+
+
+def test_count_box_matches_filtered_enumeration():
+    # each size of the one bucketed walk against the plane partitions of
+    # that size that fit in the box, for every box of volume <= 10
+    pps = [enumerate_plane_partitions(n) for n in range(11)]
+    for v in itertools.product(range(1, 11), repeat=3):
+        vol = v[0] * v[1] * v[2]
+        if vol > 10:
+            continue
+        want = [sum(p.fits_in_box(v) for p in pps[n]) for n in range(vol + 1)]
+        assert count_box_partitions(v) == want, v
 
 
 def test_dp_matches_golden():
@@ -238,10 +247,14 @@ def test_enumerate_box_ideals():
 
 
 def test_pair_counts():
-    assert [count_partition_pairs(n) for n in range(6)] == [1, 2, 7, 18, 47, 110]
-    m = macmahon(8)
-    m2 = m * m
-    for n in range(9):
-        assert count_partition_pairs(n) == m2[n]
+    assert count_partition_pairs(5) == [1, 2, 7, 18, 47, 110]
+    assert count_partition_pairs(0) == [1]
+    m = macmahon(12)
+    pairs = count_partition_pairs(12)
+    assert pairs == list((m * m).coeffs)
+    assert pairs[:9] == count_partition_pairs(8)
     with pytest.raises(GuardExceeded):
         count_partition_pairs(13)
+    for bad in (-1, True, False, 2.5):
+        with pytest.raises(ValueError):
+            count_partition_pairs(bad)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from quotbox.cli import cli_main
 from quotbox.verify import (
@@ -9,6 +13,8 @@ from quotbox.verify import (
     verify_rank2_free,
     verify_stanley,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_product_claim_passes():
@@ -87,6 +93,10 @@ def test_cli_count_output(capsys):
     assert capsys.readouterr().out.strip() == "48"
     assert cli_main(["count", "box", "--v", "1", "1", "1", "--n", "2"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+    assert cli_main(["count", "box", "--v", "2", "2", "2", "--n", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+    assert cli_main(["count", "box", "--v", "2", "2", "2", "--n", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_cli_quot_output(capsys):
@@ -170,7 +180,22 @@ def test_cli_bad_values_are_usage_errors(capsys):
     assert cli_main(["series", "boxgen", "--v", "0", "1", "1"]) == 2
     assert cli_main(["series", "macmahon", "--order", "-2"]) == 2
     assert cli_main(["count", "pp", "-3"]) == 2
+    assert cli_main(["count", "box", "--v", "1", "1", "1", "--n", "-1"]) == 2
+    assert cli_main(["count", "box", "--v", "0", "1", "1", "--n", "0"]) == 2
     capsys.readouterr()
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quotbox", "count", "box", "--v", "2", "2", "2", "--n", "4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "4"
 
 
 def test_cli_help_exits_zero(capsys):
