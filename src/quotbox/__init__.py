@@ -54,7 +54,6 @@ from .verify import (
     verify_rank2_free,
     verify_stanley,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"
 
@@ -100,6 +99,5 @@ __all__ = [
     "verify_product_formula",
     "verify_rank2_free",
     "verify_stanley",
-    "cli_main",
     "__version__",
 ]

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, _box_triple, _series_order
+from .series import TruncatedSeries, _box_triple, _int_triple, _series_order
 
 
 class GuardExceeded(RuntimeError):
@@ -60,8 +60,8 @@ class PlanePartition:
         for row in self.rows:
             if not row:
                 raise ValueError("empty row in height matrix")
-            if any(h < 1 for h in row):
-                raise ValueError("heights must be positive")
+            if any(type(h) is not int or h < 1 for h in row):
+                raise ValueError("heights must be ints >= 1")
             if any(row[b] < row[b + 1] for b in range(len(row) - 1)):
                 raise ValueError("row not weakly decreasing")
             if prev is not None:
@@ -102,7 +102,7 @@ class PlanePartition:
     @classmethod
     def from_boxes(cls, boxes) -> "PlanePartition":
         """Rebuild from a box set; raises if it is not downward closed."""
-        boxes = frozenset(tuple(map(int, b)) for b in boxes)
+        boxes = frozenset(map(_int_triple, boxes))
         heights: dict[tuple[int, int], int] = {}
         for (a, b, c) in boxes:
             if min(a, b, c) < 0:
@@ -289,7 +289,7 @@ class MonomialIdeal:
     box: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        gens = tuple(sorted(tuple(map(int, g)) for g in self.generators))
+        gens = tuple(sorted(map(_int_triple, self.generators)))
         object.__setattr__(self, "generators", gens)
         for g in gens:
             if min(g) < 0:
@@ -308,7 +308,7 @@ class MonomialIdeal:
 
     def contains(self, m) -> bool:
         """Membership of the monomial with exponent triple m."""
-        m = tuple(map(int, m))
+        m = _int_triple(m)
         if self.box is not None and any(m[i] >= self.box[i] for i in range(3)):
             return True  # the monomial is zero in the quotient ring
         return any(all(g[i] <= m[i] for i in range(3)) for g in self.generators)

@@ -48,13 +48,14 @@ which carries the count of unforced components and a clash flag, so the
 Euler characteristic of every node is known without building its
 constraint system or calling ``stratum_euler``.
 ``fixed_locus_summary`` lists the nodes of the same search at one
-colength.  ``enumerate_coprofiles``, ``profile_constraint_system`` and
-``stratum_euler`` build and evaluate the full stratification, infeasible
-strata included, one coprofile at a time; they are the tests' reference
-for the search.
+colength.
 
-``stratum_euler_oracle_fp`` recomputes the same number independently by
-counting points over several prime fields and interpolating the count
+The tests' reference for the search lists every coprofile of one
+colength, infeasible strata included, with ``enumerate_coprofiles``: the
+set closure of the reachability rule, sharing no code with the search.
+``profile_constraint_system`` and ``stratum_euler`` build and evaluate
+one coprofile's system, and ``stratum_euler_oracle_fp`` recounts its
+Euler characteristic over prime fields and interpolates the count
 polynomial at 1.  Everything is exact integer arithmetic; enumeration
 and search depth are guarded.
 """
@@ -71,7 +72,7 @@ from fractions import Fraction
 
 from .partitions import GuardExceeded
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
-from .series import TruncatedSeries, _series_order
+from .series import TruncatedSeries, _int_triple, _series_order
 
 Point = tuple[int, int]
 
@@ -94,22 +95,17 @@ class Coprofile:
     entries: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self):
-        norm = tuple((tuple(w), c) for w, c in self.entries)
-        if not all(
-            len(w) == 3 and all(isinstance(x, int) for x in (*w, c))
-            for w, c in norm
-        ):
-            raise ValueError("weights must be three ints and drops ints")
+        norm = tuple((_int_triple(w), c) for w, c in self.entries)
         object.__setattr__(self, "entries", norm)
-        weights = [w for w, _ in norm]
-        if weights != sorted(weights):
-            raise ValueError("entries must be sorted by weight")
-        if len(set(weights)) != len(weights):
-            raise ValueError("duplicate weight in coprofile")
-        if any(c < 1 for _, c in norm):
-            raise ValueError("dimension drops must be >= 1")
-        if any(min(w) < 0 for w in weights):
-            raise ValueError("weights must be >= 0")
+        prev = None
+        for w, c in norm:
+            if prev is not None and w <= prev:
+                raise ValueError("entries must be sorted by weight, no repeats")
+            if min(w) < 0:
+                raise ValueError("weights must be >= 0")
+            if type(c) is not int or c < 1:
+                raise ValueError("dimension drops must be ints >= 1")
+            prev = w
 
     @property
     def n(self) -> int:
@@ -161,9 +157,9 @@ def _fiber_tables(params: ReflexiveParams):
 
 
 def _frontier(cands: list[Weight], i: int) -> list[Weight]:
-    """The candidates once w = cands[i] is added, in lex order: those
-    after w in cands, with the successors w + e_k (which come after w)
-    merged in where missing."""
+    """The search's candidates once w = cands[i] is added, in lex order:
+    those after w in cands, with the successors w + e_k (which come after
+    w) merged in where missing."""
     w = cands[i]
     out = cands[i + 1 :]
     lo = 0
@@ -181,39 +177,36 @@ def _check_order(order, guard: int) -> None:
 
 
 def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
-    """All coprofiles of total drop n for the module attached to v.
+    """All coprofiles of total drop n for the module attached to v, sorted
+    by entries and read off the definition; no code is shared with the
+    search.
 
-    A depth-first search adds (weight, drop) pairs in increasing lex order
-    of weight, the order Coprofile entries are kept in.  The candidates
-    at the root are the generator weights; a child's candidates are those
-    of ``_frontier``, the parent's candidates after the weight added plus
-    its successors w + e_k.  Each candidate takes a drop
-    1 <= c <= min(fiber dimension, remaining drop), and a coprofile is
-    complete when the remaining drop is 0.  Candidates are exactly the
-    weights the reachability rule allows (successors of nonzero fibers
-    are nonzero).  Each coprofile is produced exactly once: its weights
-    can only be added in lex order, and every lex-order prefix of a valid
-    support is valid, because a predecessor w - e_k comes before w.
+    The supports are the set closure of the reachability rule: starting
+    from the empty support, n times add a generator weight or a successor
+    w + e_k of a member.  Each support takes every drop vector with
+    1 <= c <= fiber dimension that sums to n (support fibers are nonzero:
+    generator fibers are, and so is every successor of a nonzero fiber).
     """
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
-    dim, _ = _fiber_tables(params)
-    out: list[Coprofile] = []
-    drops: dict[Weight, int] = {}
-
-    def grow(cands: list[Weight], remaining: int) -> None:
-        if remaining == 0:
-            out.append(Coprofile(tuple(drops.items())))
-            return
-        for i, w in enumerate(cands):
-            after = _frontier(cands, i)
-            for c in range(1, min(dim(w), remaining) + 1):
-                drops[w] = c
-                grow(after, remaining - c)
-                del drops[w]
-
-    grow(sorted(params.generator_weights()), n)
-    return sorted(out, key=lambda p: p.entries)
+    gens = set(params.generator_weights())
+    level = supports = {frozenset()}
+    for _ in range(n):
+        level = {
+            s | {w}
+            for s in level
+            for w in gens | {(a + i, b + j, c + k) for a, b, c in s for i, j, k in _E}
+            if w not in s
+        }
+        supports = supports | level
+    allowed = {w: range(1, fiber_dim(params, w) + 1) for w in set().union(*supports)}
+    out = sorted(
+        tuple(zip(ws, drops))
+        for ws in map(sorted, supports)
+        for drops in itertools.product(*map(allowed.__getitem__, ws))
+        if sum(drops) == n
+    )
+    return [Coprofile(entries) for entries in out]
 
 
 @dataclass(frozen=True, order=True)
@@ -316,12 +309,15 @@ def _consistent_strata(params: ReflexiveParams, order: int):
     infeasible, as (entries, drop total, Euler characteristic), one per
     search node, in pre-order, which is lex order of the entries.
 
-    The search is that of ``enumerate_coprofiles``, except that every node
-    is a stratum of its own drop, and a (weight, drop) pair is decided the
-    moment it is added: the drops of its predecessors are final then, so
-    ``_target_rule`` settles its conditions, and an infeasible pair is cut
-    with its whole subtree.  The entries are those a ``Coprofile`` keeps,
-    already valid, so none is built here.
+    A depth-first search adds (weight, drop) pairs in increasing lex order
+    of weight, the order Coprofile entries are kept in.  The root's
+    candidates are the generator weights and a child's are those of
+    ``_frontier``, so they are the weights the reachability rule allows;
+    each takes a drop 1 <= c <= min(fiber dimension, remaining drop).  A
+    pair is decided the moment it is added: the drops of its predecessors
+    (earlier in lex order) are final then, so ``_target_rule`` settles its
+    conditions, and an infeasible pair is cut with its whole subtree.  No
+    ``Coprofile`` is built: the entries are already valid.
 
     The line variables of the branch live in a union-find with undo (union
     by size, no path compression): a link merges two components, and each
@@ -447,29 +443,23 @@ def _interp_coeffs(xs, ys):
 _ORACLE_PRIMES = (5, 7, 11, 13, 17, 19)
 
 
-def stratum_euler_oracle_fp(
-    cs: ConstraintSystem, primes=None, guard: int = 4
-) -> int:
+def stratum_euler_oracle_fp(cs: ConstraintSystem) -> int:
     """Euler characteristic via point counts over prime fields.
 
-    Counts solutions in a product of P^1(F_p), fits the counts by a
-    polynomial in p of degree at most the number of variables m, and
-    evaluates at p = 1.  Primes must be pairwise distinct, at least m + 2
-    of them so that a count that is not such a polynomial raises
-    ArithmeticError, and large enough that distinct forced lines stay
-    distinct modulo p.  The default takes the first m + 2 of
-    5, 7, 11, 13, 17, 19.
+    Counts solutions in a product of P^1(F_p) for the first m + 2 primes
+    of 5, 7, 11, 13, 17, 19 (m variables), fits the counts by a polynomial
+    in p of degree at most m and evaluates it at p = 1.  m + 1 counts fix
+    such a polynomial; the one extra count makes counts that fit none
+    raise ArithmeticError.  The primes keep the engine's distinct forced
+    lines distinct modulo p.  More than 4 variables raise GuardExceeded.
     """
     if cs.infeasible:
         return 0
     m = len(cs.variables)
-    if m > guard:
-        raise GuardExceeded(f"field oracle guarded at {guard} variables, got {m}")
-    primes = _ORACLE_PRIMES[: m + 2] if primes is None else tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    if len(primes) < m + 2:
-        raise ValueError("need at least two primes more than the variable count")
+    if m + 2 > len(_ORACLE_PRIMES):
+        limit = len(_ORACLE_PRIMES) - 2
+        raise GuardExceeded(f"field oracle takes <= {limit} variables, got {m}")
+    primes = _ORACLE_PRIMES[: m + 2]
 
     index = {w: i for i, w in enumerate(cs.variables)}
     fixed = [(index[w], pt) for w, pt in cs.fixed_lines.items()]

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 
 from .partitions import MonomialIdeal
-from .series import _box_triple
+from .series import _box_triple, _int_triple
 
 Weight = tuple[int, int, int]
 
@@ -109,7 +109,7 @@ class FiberDescription:
 def fiber(v, w) -> FiberDescription:
     """Describe the fiber of R0 at weight w."""
     params = ReflexiveParams.of(v)
-    w = tuple(int(c) for c in w)
+    w = _int_triple(w)
     present = _present(params, w)
     if len(present) == 0:
         return FiberDescription(w, present, 0, (), None)
@@ -124,8 +124,7 @@ def fiber(v, w) -> FiberDescription:
 def fiber_dim(v, w) -> int:
     """Dimension of the fiber at w, without building basis data."""
     params = ReflexiveParams.of(v)
-    w = tuple(int(c) for c in w)
-    k = len(_present(params, w))
+    k = len(_present(params, _int_triple(w)))
     return 2 if k == 3 else k
 
 
@@ -177,10 +176,10 @@ def mult_matrix(v, w, k: int) -> MultMap:
     Generators map to themselves label-wise; the matrix just re-expresses
     source basis vectors in the target basis.  Entries land in {-1, 0, 1}.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("direction k must be 1, 2 or 3")
+    if type(k) is not int or k not in (1, 2, 3):
+        raise ValueError(f"direction k must be 1, 2 or 3, got {k!r}")
     params = ReflexiveParams.of(v)
-    w = tuple(int(c) for c in w)
+    w = _int_triple(w)
     src = fiber(params, w)
     tgt = fiber(params, tuple(w[i] + _E[k - 1][i] for i in range(3)))
     cols = [_coords_in_basis(tgt, b) for b in src.basis]
@@ -211,14 +210,15 @@ def line_submodule_dim(params: ReflexiveParams, w: Weight) -> int:
 
 
 def _window_weights(window):
-    """Iterate integer weights of a window: an int m means [0, m]^3, a
-    pair (lo, hi) means the closed box between the triples."""
-    if isinstance(window, int):
-        lo, hi = (0, 0, 0), (window, window, window)
+    """Iterate integer weights of a window: an int m >= 0 means [0, m]^3,
+    a pair (lo, hi) of triples with lo <= hi means the closed box between
+    them.  An empty window is a ValueError, so no check passes vacuously."""
+    if isinstance(window, (tuple, list)):
+        lo, hi = map(_int_triple, window)
     else:
-        lo, hi = window
-        lo = tuple(int(c) for c in lo)
-        hi = tuple(int(c) for c in hi)
+        lo, hi = (0, 0, 0), _int_triple((window,) * 3)
+    if any(a > b for a, b in zip(lo, hi)):
+        raise ValueError(f"empty window from {lo} to {hi}")
     for a in range(lo[0], hi[0] + 1):
         for b in range(lo[1], hi[1] + 1):
             for c in range(lo[2], hi[2] + 1):

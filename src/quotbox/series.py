@@ -35,19 +35,16 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
+        if len(self.coeffs) != _series_order(self.order) + 1:
             raise ValueError("need exactly order+1 coefficients")
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(type(c) is int for c in self.coeffs):
             raise ValueError("coefficients must be ints")
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
         """Build from a coefficient list, zero-padded up to order."""
-        coeffs = [int(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
+        coeffs = list(coeffs)
+        order = len(coeffs) - 1 if order is None else _series_order(order)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than order allows")
         coeffs += [0] * (order + 1 - len(coeffs))
@@ -66,9 +63,11 @@ class TruncatedSeries:
         """c * q^exponent, truncated; exponents beyond the order vanish."""
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        coeffs = [0] * (order + 1)
+        if type(coeff) is not int:
+            raise ValueError("coefficients must be ints")
+        coeffs = [0] * (_series_order(order) + 1)
         if exponent <= order:
-            coeffs[exponent] = int(coeff)
+            coeffs[exponent] = coeff
         return cls(order, tuple(coeffs))
 
     def __getitem__(self, n: int) -> int:
@@ -216,9 +215,21 @@ def _over_one_minus_q_pow(a: list[int], e: int) -> None:
 def _series_order(order) -> int:
     """A truncation order as an int >= 0; anything else, a bool included,
     is a ValueError."""
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise ValueError(f"order must be an int >= 0, got {order!r}")
     return order
+
+
+def _int_triple(t) -> tuple[int, int, int]:
+    """t as a tuple of three ints (type int exactly, so no bool); anything
+    else is a ValueError."""
+    try:
+        a, b, c = t
+    except (TypeError, ValueError):
+        raise ValueError(f"expected three ints, got {t!r}") from None
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        raise ValueError(f"expected three ints, got {t!r}")
+    return a, b, c
 
 
 def macmahon(order: int) -> TruncatedSeries:
@@ -238,13 +249,10 @@ def macmahon(order: int) -> TruncatedSeries:
 def _box_triple(v) -> tuple[int, int, int]:
     """The triple v as three ints >= 1; anything else, a bool included, is
     a ValueError."""
-    v1, v2, v3 = v
-    if not all(
-        isinstance(c, int) and not isinstance(c, bool) and c >= 1
-        for c in (v1, v2, v3)
-    ):
-        raise ValueError("box sides must be integers >= 1")
-    return v1, v2, v3
+    v = _int_triple(v)
+    if min(v) < 1:
+        raise ValueError(f"box sides must be integers >= 1, got {v!r}")
+    return v
 
 
 def box_product(v, order: int | None = None) -> TruncatedSeries:

@@ -58,6 +58,12 @@ def test_height_matrix_validation():
         PlanePartition(((1, 0),))  # zero height stored
     with pytest.raises(ValueError):
         PlanePartition(((),))  # empty row
+    for bad in [((1.5,),), ((True,),), ((2, 1.0),)]:
+        with pytest.raises(ValueError):
+            PlanePartition(bad)  # heights are ints, not truncated
+    for boxes in [[(0.5, 0, 0)], [(0, 0, True)], [(0, 0)]]:
+        with pytest.raises(ValueError):
+            PlanePartition.from_boxes(boxes)
 
 
 def test_boxes_round_trip():
@@ -166,6 +172,12 @@ def test_monomial_ideal_validation():
         MonomialIdeal(((-1, 0, 0),))
     with pytest.raises(ValueError):
         MonomialIdeal(((2, 0, 0),), box=(2, 2, 2))  # sits on the box wall
+    with pytest.raises(ValueError):
+        MonomialIdeal(((1.5, 0, 0), (0, 2.7, 0), (0, 0, 1)))  # not truncated
+    with pytest.raises(ValueError):
+        MonomialIdeal(((True, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        MonomialIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1))).contains((0.9, 0, 0))
     # generators get sorted to a canonical order
     ideal = MonomialIdeal(((0, 1, 0), (1, 0, 0)))
     assert ideal.generators == ((0, 1, 0), (1, 0, 0))

@@ -35,6 +35,17 @@ def test_params_validation():
         ReflexiveParams(1, 1, True)
     with pytest.raises(ValueError):
         quot_series((True, 1, 1), 1)
+    # weights and windows are read as ints too, never truncated
+    for bad_w in [(1.9, 1, 1), (0.9, 1, 1), (True, 1, 1), (1, 1), 5]:
+        with pytest.raises(ValueError):
+            fiber_dim((1, 1, 1), bad_w)
+        with pytest.raises(ValueError):
+            fiber((1, 1, 1), bad_w)
+    for bad_window in [-1, True, 2.0, ((1, 1, 1), (0, 3, 3)), ((0, 0, 0.5), (1, 1, 1))]:
+        with pytest.raises(ValueError):
+            check_cosection_quotient((1, 1, 1), bad_window)
+        with pytest.raises(ValueError):
+            check_resolution_dims((1, 1, 1), bad_window)
     p = ReflexiveParams.of([2, 1, 3])
     assert tuple(p) == (2, 1, 3)
     assert p.triple == (2, 1, 3)
@@ -133,8 +144,11 @@ def test_mult_matrix_examples():
 
 
 def test_mult_matrix_rejects_bad_direction():
+    for k in (4, 0, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            mult_matrix((1, 1, 1), (0, 0, 0), k)
     with pytest.raises(ValueError):
-        mult_matrix((1, 1, 1), (0, 0, 0), 4)
+        mult_matrix((1, 1, 1), (1.5, 1, 0), 3)
 
 
 def _compose(a, b):

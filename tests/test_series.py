@@ -27,6 +27,18 @@ def test_constructor_validates():
         TruncatedSeries(-1, ())
     with pytest.raises(ValueError):
         TruncatedSeries(1, (1.5, 2))
+    # bools and floats are not ints: nothing is truncated or kept as a bool
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, (True, 1))
+    with pytest.raises(ValueError):
+        TruncatedSeries(True, (1, 1))
+    with pytest.raises(ValueError):
+        TruncatedSeries(1.0, (1, 1))
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coeffs([1.5, True])
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_coeffs([1, 2], order=2.5)
+    assert TruncatedSeries.from_coeffs([1, 2], order=3).coeffs == (1, 2, 0, 0)
 
 
 def test_basic_arithmetic():
@@ -59,6 +71,9 @@ def test_monomial_beyond_order_vanishes():
     assert TruncatedSeries.monomial(3, 2, coeff=5).coeffs == (0, 0, 5, 0)
     with pytest.raises(ValueError):
         TruncatedSeries.monomial(3, -1)
+    for coeff in (2.9, True):
+        with pytest.raises(ValueError):
+            TruncatedSeries.monomial(3, 1, coeff)
 
 
 def test_getitem_bounds():

@@ -198,6 +198,27 @@ def test_python_m_runs_the_cli():
     assert proc.stdout.strip() == "4"
 
 
+def test_package_surface():
+    # every public name resolves; importing the package leaves the CLI
+    # and argparse unloaded, so python -m quotbox.cli runs without a
+    # RuntimeWarning about a module found in sys.modules
+    import quotbox
+
+    assert [name for name in quotbox.__all__ if not hasattr(quotbox, name)] == []
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    probe = "import sys, quotbox; print({'quotbox.cli', 'argparse'} & set(sys.modules))"
+    proc = run("-c", probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
+    proc = run("-m", "quotbox.cli", "count", "pp", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "6\n", "")
+
+
 def test_cli_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert cli_main(["verify", "--help"]) == 0
