@@ -44,8 +44,8 @@ empty = sum(1 for rec in summary.strata if rec.euler == 0)
 print(f"  colength 5: {len(summary.strata)} consistent strata, {empty} of "
       f"them with Euler characteristic 0\n")
 
-print("Summing strata for each n gives the engine's series, which")
-print("matches the closed form:")
+print("The engine's series sums these strata for each n, reusing the")
+print("sum past each x1-layer across branches, and matches the closed form:")
 for u in [(1, 1, 1), (2, 2, 2), (1, 2, 3)]:
     got = quot_series(u, 3)
     want = quot_closed_form(u, 3)

@@ -16,7 +16,7 @@ import sys
 
 from .partitions import (
     GuardExceeded,
-    count_box_partitions,
+    box_partition_polynomial_dp,
     enumerate_plane_partitions,
 )
 from .quotfixed import fixed_locus_summary, quot_fixed_euler, quot_series
@@ -107,7 +107,7 @@ def _run(args) -> int:
         else:
             if args.n < 0:
                 raise ValueError("n must be >= 0")
-            counts = count_box_partitions(args.v)
+            counts = box_partition_polynomial_dp(args.v).coeffs
             print(counts[args.n] if args.n < len(counts) else 0)
         return 0
 

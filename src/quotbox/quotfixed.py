@@ -27,28 +27,34 @@ variables into components, a component forced to two different lines
 makes the stratum empty, and otherwise every unforced component is a free
 P^1, so the Euler characteristic is 0 or 2^(free components).
 
-``quot_series`` sums these over one depth-first search that adds
-(weight, drop) pairs in increasing lex order of weight and covers every
-colength up to the order at once.  The conditions of a stratum are
-indexed by their target weight w and read only the drops at the
-predecessors w - e_k, which come earlier in lex order.  So when a pair
-(w, c) is added, the conditions with target w are final and are decided
-right then; every extension of the branch keeps them, so infeasibility
-is monotone along a branch and an infeasible pair is cut with its whole
-subtree.  Every lex-order prefix of a consistent stratum is again a
-consistent stratum, so the search visits exactly the consistent strata.
+Two routes read the strata.  ``_consistent_strata`` is one depth-first
+search that adds (weight, drop) pairs in increasing lex order of weight
+and covers every colength up to the order at once.  The conditions of a
+stratum are indexed by their target weight w and read only the drops at
+the predecessors w - e_k, which come earlier in lex order.  So when a
+pair (w, c) is added, the conditions with target w are final and are
+decided right then; every extension of the branch keeps them, so
+infeasibility is monotone along a branch and an infeasible pair is cut
+with its whole subtree.  Every lex-order prefix of a consistent stratum
+is again a consistent stratum, so the search visits exactly the
+consistent strata.  Its candidates form a frontier (a child's list is
+the parent's list after the weight added, with that weight's three
+successors merged in), a per-weight predecessor table feeds
+``_target_rule``, and the links and forced lines of the branch live in
+``_Components``, a union-find with undo that carries the count of
+unforced components and a clash flag, so every node's Euler
+characteristic is known without building its constraint system.
+``fixed_locus_summary`` lists the search's nodes at one colength.
 
-The search does little work per node.  Its candidates form a frontier:
-a child's list is the parent's list after the weight added, with that
-weight's three successors merged in.  A per-weight predecessor table
-holds, for each w, the predecessors' fiber dimensions and image lines,
-so ``_target_rule`` reads only the table and the predecessors' drops.
-The links and forced lines found so far live in a union-find with undo,
-which carries the count of unforced components and a clash flag, so the
-Euler characteristic of every node is known without building its
-constraint system or calling ``stratum_euler``.
-``fixed_locus_summary`` lists the nodes of the same search at one
-colength.
+``quot_series`` (and so ``quot_fixed_euler``) runs ``_layer_transfer``
+instead: the same search, memoised at x1-layer boundaries.  Once the
+search leaves the x1-layer a, the rest of the branch sees only the
+layer-a entries, the components of their line variables and those
+components' forced lines, so the series of the later-layer tail is
+stored under that state and the remaining drop and reused; a component
+with no layer-a member is closed and only doubles the tail when
+unforced.  The summary's total against ``quot_fixed_euler`` is thus a
+check of the two routes against each other.
 
 The tests' reference for the search lists every coprofile of one
 colength, infeasible strata included, with ``enumerate_coprofiles``: the
@@ -304,43 +310,33 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     )
 
 
-def _consistent_strata(params: ReflexiveParams, order: int):
-    """Every stratum of total drop <= order whose constraint system is not
-    infeasible, as (entries, drop total, Euler characteristic), one per
-    search node, in pre-order, which is lex order of the entries.
+class _Components:
+    """The line variables of a branch in a union-find with undo.
 
-    A depth-first search adds (weight, drop) pairs in increasing lex order
-    of weight, the order Coprofile entries are kept in.  The root's
-    candidates are the generator weights and a child's are those of
-    ``_frontier``, so they are the weights the reachability rule allows;
-    each takes a drop 1 <= c <= min(fiber dimension, remaining drop).  A
-    pair is decided the moment it is added: the drops of its predecessors
-    (earlier in lex order) are final then, so ``_target_rule`` settles its
-    conditions, and an infeasible pair is cut with its whole subtree.  No
-    ``Coprofile`` is built: the entries are already valid.
-
-    The line variables of the branch live in a union-find with undo (union
-    by size, no path compression): a link merges two components, and each
-    root keeps the line its component is forced to, or None.  Along with
-    it the search carries the number of unforced components and whether
-    some component was forced to two different lines, so the Euler
-    characteristic of each node, 0 on such a clash and otherwise
-    2^(unforced components), is known without a constraint system.
+    Union by size, no path compression, so a merge is undone by resetting
+    one parent.  parent holds exactly the branch's line variables (a root
+    is its own parent), and each root keeps in line the line its component
+    is forced to, or None.  A branch's Euler characteristic is 0 once some
+    component is forced to two different lines (a clash), and otherwise
+    2^(unforced components); both routes carry that count and flag along
+    with the structure.
     """
-    dim, preds = _fiber_tables(params)
-    drops: dict[Weight, int] = {}
-    parent: dict[Weight, Weight] = {}  # a root is its own parent
-    size: dict[Weight, int] = {}
-    line: dict[Weight, Point | None] = {}  # forced line of each root
 
-    def find(x: Weight) -> Weight:
+    def __init__(self):
+        self.parent: dict[Weight, Weight] = {}
+        self.size: dict[Weight, int] = {}
+        self.line: dict[Weight, Point | None] = {}
+
+    def find(self, x: Weight) -> Weight:
+        parent = self.parent
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def add_variable(w, forced, sources, free, clash):
+    def add_variable(self, w, forced, sources, free, clash):
         """Add line variable w, forced or not, linked to sources.  Returns
         the merges made, to undo, and the new (free, clash)."""
+        parent, size, line, find = self.parent, self.size, self.line, self.find
         parent[w] = w
         size[w] = 1
         line[w] = forced
@@ -364,12 +360,36 @@ def _consistent_strata(params: ReflexiveParams, order: int):
                 clash = True
         return merges, free, clash
 
-    def remove_variable(w, merges):
+    def remove_variable(self, w, merges):
+        parent, size, line = self.parent, self.size, self.line
         for b, a, la in reversed(merges):
             parent[b] = b
             size[a] -= size[b]
             line[a] = la
         del parent[w], size[w], line[w]
+
+
+def _consistent_strata(params: ReflexiveParams, order: int):
+    """Every stratum of total drop <= order whose constraint system is not
+    infeasible, as (entries, drop total, Euler characteristic), one per
+    search node, in pre-order, which is lex order of the entries.
+
+    A depth-first search adds (weight, drop) pairs in increasing lex order
+    of weight, the order Coprofile entries are kept in.  The root's
+    candidates are the generator weights and a child's are those of
+    ``_frontier``, so they are the weights the reachability rule allows;
+    each takes a drop 1 <= c <= min(fiber dimension, remaining drop).  A
+    pair is decided the moment it is added: the drops of its predecessors
+    (earlier in lex order) are final then, so ``_target_rule`` settles its
+    conditions, and an infeasible pair is cut with its whole subtree.  No
+    ``Coprofile`` is built: the entries are already valid.  The branch's
+    line variables live in ``_Components``, so the Euler characteristic
+    of each node is known without a constraint system.
+    """
+    dim, preds = _fiber_tables(params)
+    comps = _Components()
+    add_variable, remove_variable = comps.add_variable, comps.remove_variable
+    drops: dict[Weight, int] = {}
 
     def grow(cands, remaining, free, clash):
         yield tuple(drops.items()), order - remaining, 0 if clash else 1 << free
@@ -393,6 +413,116 @@ def _consistent_strata(params: ReflexiveParams, order: int):
                 del drops[w]
 
     yield from grow(sorted(params.generator_weights()), order, 0, False)
+
+
+def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
+    """Coefficients 0 .. order of the sum of Euler characteristic * q^drop
+    over the consistent strata: the search of ``_consistent_strata``,
+    memoised at x1-layer boundaries.
+
+    The search adds weights in lex order, so the weights of one x1-layer
+    a = w[0] come together, and once a later layer is entered layer a is
+    final.  The children of a node whose last weight lies in layer a split
+    in two: those in layer a, searched as before, and those in later
+    layers.  What the later-layer tail can see of the branch is fixed by
+    the layer-a entries: its candidates are the generator weights past
+    layer a and the successors w + e1 of layer-a weights, its conditions
+    read drops in layer a at the earliest, and its links reach the
+    branch's components only through layer-a line variables.  So the tail
+    is memoised under the key (a, the layer-a entries, the components of
+    the layer-a line variables in canonical labels with each one's forced
+    line, remaining drop).  Its value is computed with the free count set
+    to the open unforced components, those with a layer-a member; the
+    others are closed, since no later link can reach them, and each shifts
+    the caller's copy of the value by one power of 2.  A pair that makes a
+    clash is skipped, because the Euler characteristic is 0 on its whole
+    subtree.
+    """
+    dim, preds = _fiber_tables(params)
+    comps = _Components()
+    add_variable, remove_variable = comps.add_variable, comps.remove_variable
+    find, parent, line = comps.find, comps.parent, comps.line
+    drops: dict[Weight, int] = {}
+    path: list[tuple[Weight, int]] = []  # the branch's entries, in order
+    memo: dict[tuple, list[int]] = {}
+
+    def children(cands, lo, hi, start, remaining, free, out):
+        """Add the series of the subtree of each child (w, c), w among
+        cands[lo:hi], to out, shifted by c.  start is the index in path
+        where the child's layer begins: the parent's own for a candidate
+        in the parent's layer, len(path) for one in a later layer."""
+        for i in range(lo, hi):
+            w = cands[i]
+            d = dim(w)
+            table = preds(w)
+            after = None
+            for c in range(1, min(d, remaining) + 1):
+                forced, sources, infeasible = _target_rule(table, d - c, drops)
+                if infeasible:
+                    continue
+                merges = None
+                f = free
+                if d == 2 and c == 1:
+                    merges, f, clash = add_variable(w, forced, sources, free, False)
+                    if clash:
+                        remove_variable(w, merges)
+                        continue
+                if c == remaining:  # a leaf: no drop left for children
+                    out[c] += 1 << f
+                else:
+                    if after is None:
+                        after = _frontier(cands, i)
+                    drops[w] = c
+                    path.append((w, c))
+                    sub = node(after, start, remaining - c, f)
+                    for k, x in enumerate(sub, c):
+                        out[k] += x
+                    path.pop()
+                    del drops[w]
+                if merges is not None:
+                    remove_variable(w, merges)
+
+    def node(cands, start, remaining, free):
+        """Series of the subtree of the node whose last entry is path[-1]
+        and whose last layer is path[start:], with drops counted from the
+        node's; free is its count of unforced components."""
+        out = [0] * (remaining + 1)
+        out[0] = 1 << free
+        a = path[-1][0][0]
+        split = bisect.bisect_left(cands, (a + 1,))
+        children(cands, 0, split, start, remaining, free, out)
+        if split == len(cands):
+            return out
+        layer = tuple(path[start:])
+        roots: dict[Weight, int] = {}
+        labels = []
+        lines = []
+        for w, _ in layer:
+            if w in parent:
+                r = find(w)
+                if r not in roots:
+                    roots[r] = len(lines)
+                    lines.append(line[r])
+                labels.append(roots[r])
+        key = (a, layer, tuple(labels), tuple(lines), remaining)
+        open_free = lines.count(None)
+        tail = memo.get(key)
+        if tail is None:
+            tail = [0] * (remaining + 1)
+            children(cands, split, len(cands), len(path), remaining, open_free, tail)
+            memo[key] = tail
+        closed = free - open_free
+        for k, x in enumerate(tail):
+            out[k] += x << closed
+        return out
+
+    out = [1] + [0] * order
+    gens = sorted(params.generator_weights())
+    children(gens, 0, len(gens), 0, order, 0, out)
+    # the two closures reach each other through their cells; unlinking
+    # them frees the memo and the tables now, not at the next collection
+    del children, node
+    return out
 
 
 def stratum_euler(cs: ConstraintSystem) -> int:
@@ -560,7 +690,4 @@ def quot_series(v, order: int, guard: int = 5) -> TruncatedSeries:
     """
     params = ReflexiveParams.of(v)
     _check_order(order, guard)
-    coeffs = [0] * (order + 1)
-    for _, drop, chi in _consistent_strata(params, order):
-        coeffs[drop] += chi
-    return TruncatedSeries(order, tuple(coeffs))
+    return TruncatedSeries(order, tuple(_layer_transfer(params, order)))

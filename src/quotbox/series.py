@@ -35,6 +35,7 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != _series_order(self.order) + 1:
             raise ValueError("need exactly order+1 coefficients")
         if not all(type(c) is int for c in self.coeffs):
@@ -61,7 +62,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, order: int, exponent: int, coeff: int = 1) -> "TruncatedSeries":
         """c * q^exponent, truncated; exponents beyond the order vanish."""
-        if exponent < 0:
+        if _exponent(exponent) < 0:
             raise ValueError("exponent must be >= 0")
         if type(coeff) is not int:
             raise ValueError("coefficients must be ints")
@@ -126,7 +127,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
+        if _exponent(exponent) < 0:
             return self.inverse() ** (-exponent)
         result = TruncatedSeries.one(self.order)
         base = self
@@ -218,6 +219,14 @@ def _series_order(order) -> int:
     if type(order) is not int or order < 0:
         raise ValueError(f"order must be an int >= 0, got {order!r}")
     return order
+
+
+def _exponent(e) -> int:
+    """An exponent as an int; anything else, a bool included, is a
+    ValueError."""
+    if type(e) is not int:
+        raise ValueError(f"exponent must be an int, got {e!r}")
+    return e
 
 
 def _int_triple(t) -> tuple[int, int, int]:

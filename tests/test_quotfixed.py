@@ -13,6 +13,7 @@ from quotbox.quotfixed import (
     FixedLocusSummary,
     Link,
     _consistent_strata,
+    _layer_transfer,
     enumerate_coprofiles,
     fixed_locus_summary,
     profile_constraint_system,
@@ -203,8 +204,18 @@ def test_search_visits_exactly_the_consistent_strata():
 
 
 def test_summary_total_matches_pruned_search():
+    # two routes: the summary sums the search, quot_fixed_euler the transfer
     for v, n in SEARCH_CASES:
         assert fixed_locus_summary(v, n).total == quot_fixed_euler(v, n)
+
+
+def test_transfer_matches_search_per_drop():
+    for v in GRID:
+        params = ReflexiveParams.of(v)
+        sums = [0] * 9
+        for _, drop, chi in _consistent_strata(params, 8):
+            sums[drop] += chi
+        assert _layer_transfer(params, 8) == sums
 
 
 def test_empty_system_and_fixed_points():
@@ -315,6 +326,13 @@ def test_series_matches_closed_form_at_order_ten():
         assert quot_series(v, 10, guard=10) == quot_closed_form(v, 10)
 
 
+def test_series_matches_closed_form_at_order_twelve():
+    # a transfer memo key that keeps whether each component is forced but
+    # not its line first goes wrong here, at order 11; every other case
+    # the suite runs on the transfer misses it
+    assert quot_series((1, 1, 1), 12, guard=12) == quot_closed_form((1, 1, 1), 12)
+
+
 def test_permutation_invariance():
     for v, order in [((1, 2, 2), 2), ((1, 2, 3), 7)]:
         base = quot_series(v, order, guard=order)
@@ -341,6 +359,7 @@ def test_guards(monkeypatch):
         raise AssertionError("search started before the guard check")
 
     monkeypatch.setattr("quotbox.quotfixed._consistent_strata", no_work)
+    monkeypatch.setattr("quotbox.quotfixed._layer_transfer", no_work)
     monkeypatch.setattr("quotbox.quotfixed.stratum_euler", no_work)
     with pytest.raises(GuardExceeded):
         quot_fixed_euler((1, 1, 1), 7)

@@ -39,6 +39,10 @@ def test_constructor_validates():
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs([1, 2], order=2.5)
     assert TruncatedSeries.from_coeffs([1, 2], order=3).coeffs == (1, 2, 0, 0)
+    # a coefficient list is kept as a tuple, so the series can be hashed
+    listed = TruncatedSeries(1, [1, 2])
+    assert listed.coeffs == (1, 2)
+    assert hash(listed) == hash(TruncatedSeries(1, (1, 2)))
 
 
 def test_basic_arithmetic():
@@ -74,6 +78,10 @@ def test_monomial_beyond_order_vanishes():
     for coeff in (2.9, True):
         with pytest.raises(ValueError):
             TruncatedSeries.monomial(3, 1, coeff)
+    # the exponent is an int too: a bool is not read as 1
+    for exponent in (True, False, 2.5, 2.0):
+        with pytest.raises(ValueError):
+            TruncatedSeries.monomial(3, exponent)
 
 
 def test_getitem_bounds():
@@ -110,6 +118,9 @@ def test_pow():
     assert (a ** 0) == TruncatedSeries.one(4)
     g = TruncatedSeries.one(4) - TruncatedSeries.monomial(4, 1)
     assert (g ** -2).coeffs == (1, 2, 3, 4, 5)
+    for exponent in (True, False, 2.5, -1.0):
+        with pytest.raises(ValueError):
+            a ** exponent
 
 
 def test_degree_and_palindromic():

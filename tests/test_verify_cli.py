@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from quotbox.cli import cli_main
+from quotbox.partitions import count_box_partitions
 from quotbox.verify import (
     VerificationReport,
     verify_hilb_counts,
@@ -97,6 +98,18 @@ def test_cli_count_output(capsys):
     assert capsys.readouterr().out.strip() == "4"
     assert cli_main(["count", "box", "--v", "2", "2", "2", "--n", "8"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cli_count_box_agrees_with_enumeration(capsys):
+    # the command reads one entry of the DP; the walk over every stack in
+    # the box is the reference, and sizes past the volume count 0
+    for v in [(1, 1, 1), (2, 1, 3), (2, 2, 2), (1, 3, 2)]:
+        counts = count_box_partitions(v)
+        for n in range(len(counts) + 2):
+            args = ["count", "box", "--v", *map(str, v), "--n", str(n)]
+            assert cli_main(args) == 0
+            expected = counts[n] if n < len(counts) else 0
+            assert capsys.readouterr().out.strip() == str(expected)
 
 
 def test_cli_quot_output(capsys):
