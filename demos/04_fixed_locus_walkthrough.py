@@ -10,7 +10,6 @@ from quotbox import (
     quot_series,
     quot_closed_form,
     stratum_euler,
-    stratum_euler_oracle_fp,
 )
 
 v = (1, 1, 1)
@@ -34,8 +33,7 @@ print("constraint system noticing:")
 corner = Coprofile((((1, 1, 1), 1),))
 cs = profile_constraint_system(v, corner)
 print(f"  infeasible: {cs.infeasible}, forced lines {cs.fixed_lines}")
-print(f"  engine: {stratum_euler(cs)}   "
-      f"field oracle: {stratum_euler_oracle_fp(cs)}\n")
+print(f"  engine: {stratum_euler(cs)}\n")
 
 print("A consistent stratum can still be empty, when links join two")
 print("differently forced lines:")

@@ -37,7 +37,6 @@ from .quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    Link,
     StratumRecord,
     enumerate_coprofiles,
     fixed_locus_summary,
@@ -45,7 +44,6 @@ from .quotfixed import (
     quot_fixed_euler,
     quot_series,
     stratum_euler,
-    stratum_euler_oracle_fp,
 )
 from .verify import (
     VerificationReport,
@@ -85,7 +83,6 @@ __all__ = [
     "ConstraintSystem",
     "Coprofile",
     "FixedLocusSummary",
-    "Link",
     "StratumRecord",
     "enumerate_coprofiles",
     "fixed_locus_summary",
@@ -93,7 +90,6 @@ __all__ = [
     "quot_fixed_euler",
     "quot_series",
     "stratum_euler",
-    "stratum_euler_oracle_fp",
     "VerificationReport",
     "verify_hilb_counts",
     "verify_product_formula",

@@ -15,11 +15,12 @@ import argparse
 import sys
 
 from .partitions import (
+    PLANE_PARTITION_GUARD,
     GuardExceeded,
     box_partition_polynomial_dp,
     enumerate_plane_partitions,
 )
-from .quotfixed import fixed_locus_summary, quot_fixed_euler, quot_series
+from .quotfixed import COLENGTH_GUARD, fixed_locus_summary, quot_fixed_euler, quot_series
 from .series import box_product, macmahon
 from .verify import (
     verify_product_formula,
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count_sub = p_count.add_subparsers(dest="count_cmd", required=True)
     p_pp = count_sub.add_parser("pp", help="plane partitions of n")
     p_pp.add_argument("n", type=int)
-    p_pp.add_argument("--guard", type=int, default=12)
+    p_pp.add_argument("--guard", type=int, default=PLANE_PARTITION_GUARD)
     p_cb = count_sub.add_parser("box", help="box-bounded plane partitions of n")
     p_cb.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_cb.add_argument("--n", type=int, required=True)
@@ -67,25 +68,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strata", action="store_true",
         help="list every consistent stratum and its Euler characteristic",
     )
-    p_qe.add_argument("--guard", type=int, default=5)
+    p_qe.add_argument("--guard", type=int, default=COLENGTH_GUARD)
     p_qs = quot_sub.add_parser("series", help="Euler characteristic series")
     p_qs.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_qs.add_argument("--order", type=int, required=True)
-    p_qs.add_argument("--guard", type=int, default=5)
+    p_qs.add_argument("--guard", type=int, default=COLENGTH_GUARD)
 
     p_verify = sub.add_parser("verify", help="run a verification claim")
     verify_sub = p_verify.add_subparsers(dest="claim", required=True)
     p_prod = verify_sub.add_parser("product", help="engine series vs closed form")
     p_prod.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_prod.add_argument("--order", type=int, required=True)
-    p_prod.add_argument("--guard", type=int, default=5)
+    p_prod.add_argument("--guard", type=int, default=COLENGTH_GUARD)
     p_st = verify_sub.add_parser("stanley", help="three-way box counts")
     p_st.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_hilb = verify_sub.add_parser("hilb", help="fat-point ideal counts vs box counts")
     p_hilb.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
     p_r2 = verify_sub.add_parser("rank2free", help="pair counts vs macmahon^2")
     p_r2.add_argument("--order", type=int, required=True)
-    p_r2.add_argument("--guard", type=int, default=12)
+    p_r2.add_argument("--guard", type=int, default=PLANE_PARTITION_GUARD)
     for p in (p_prod, p_st, p_hilb, p_r2):
         p.add_argument("--json", type=str, default=None, metavar="PATH",
                        help="write the report as JSON to PATH")

@@ -40,6 +40,9 @@ from dataclasses import dataclass
 from .series import TruncatedSeries, _box_triple, _int_triple, _series_order
 
 
+PLANE_PARTITION_GUARD = 12  # default size bound of plane partition walks
+
+
 class GuardExceeded(RuntimeError):
     """An enumeration was asked to exceed its configured size guard."""
 
@@ -179,7 +182,9 @@ def _counts_by_total(stacks, budget) -> list[int]:
     return counts
 
 
-def enumerate_plane_partitions(n: int, guard: int = 12) -> list[PlanePartition]:
+def enumerate_plane_partitions(
+    n: int, guard: int = PLANE_PARTITION_GUARD
+) -> list[PlanePartition]:
     """All plane partitions of n, sorted by height matrix.
 
     Exhaustive, so intended for n up to about 12; larger n raises
@@ -417,7 +422,7 @@ def enumerate_box_monomial_ideals(v, guard: int = 1 << 16) -> list[MonomialIdeal
     return out
 
 
-def count_partition_pairs(order: int, guard: int = 12) -> list[int]:
+def count_partition_pairs(order: int, guard: int = PLANE_PARTITION_GUARD) -> list[int]:
     """Ordered pairs of plane partitions, counted by total size.
 
     Entry n of the returned list, for n = 0 .. order, is the number of

@@ -60,10 +60,10 @@ The tests' reference for the search lists every coprofile of one
 colength, infeasible strata included, with ``enumerate_coprofiles``: the
 set closure of the reachability rule, sharing no code with the search.
 ``profile_constraint_system`` and ``stratum_euler`` build and evaluate
-one coprofile's system, and ``stratum_euler_oracle_fp`` recounts its
-Euler characteristic over prime fields and interpolates the count
-polynomial at 1.  Everything is exact integer arithmetic; enumeration
-and search depth are guarded.
+one coprofile's system, and the tests' field oracle recounts its Euler
+characteristic over prime fields.  Everything is exact integer
+arithmetic; enumeration and search depth are guarded at colength
+``COLENGTH_GUARD`` unless the guard is raised.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partitions import GuardExceeded
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
 from .series import TruncatedSeries, _int_triple, _series_order
 
 Point = tuple[int, int]
+
+COLENGTH_GUARD = 5  # default colength bound of every stratum search
 
 
 def _normalize_point(x: int, y: int) -> Point:
@@ -182,7 +183,7 @@ def _check_order(order, guard: int) -> None:
         raise GuardExceeded(f"stratum search guarded at colength <= {guard}")
 
 
-def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
+def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofile]:
     """All coprofiles of total drop n for the module attached to v, sorted
     by entries and read off the definition; no code is shared with the
     search.
@@ -215,31 +216,20 @@ def enumerate_coprofiles(v, n: int, guard: int = 5) -> list["Coprofile"]:
     return [Coprofile(entries) for entries in out]
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    """F_source and F_target must be the same line.
-
-    Both ends are line variables on the cone w >= v, where multiplication
-    from source to target is the identity in the fixed fiber basis.
-    """
-
-    source: Weight
-    target: Weight
-
-
 @dataclass
 class ConstraintSystem:
     """Incidence constraints of one coprofile stratum.
 
     variables lists the weights whose F_w is a free line (a P^1 each);
     fixed_lines forces some of them to a line, as a normalized point;
-    links ties pairs of them to the same line; infeasible is set when a
-    required containment can never hold.
+    links, sorted (source, target) pairs with target = source + e_k, ties
+    two of them to the same line (multiplication is the identity there);
+    infeasible is set when a required containment can never hold.
     """
 
     variables: tuple[Weight, ...]
     fixed_lines: dict[Weight, Point]
-    links: tuple[Link, ...]
+    links: tuple[tuple[Weight, Weight], ...]
     infeasible: bool = False
 
 
@@ -285,7 +275,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
-    links: list[Link] = []
+    links: list[tuple[Weight, Weight]] = []
     infeasible = False
 
     for w, c in profile.entries:
@@ -299,7 +289,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
         forced, sources, bad = _target_rule(preds(wt), dim(wt) - ct, drops)
         if forced is not None:
             fixed[wt] = forced
-        links.extend(Link(ws, wt) for ws in sources)
+        links.extend((ws, wt) for ws in sources)
         infeasible = infeasible or bad
 
     return ConstraintSystem(
@@ -412,7 +402,11 @@ def _consistent_strata(params: ReflexiveParams, order: int):
                     yield from grow(after, remaining - c, free, clash)
                 del drops[w]
 
-    yield from grow(sorted(params.generator_weights()), order, 0, False)
+    try:
+        yield from grow(sorted(params.generator_weights()), order, 0, False)
+    finally:
+        # grow reaches itself through its cell: free its tables now
+        del grow
 
 
 def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
@@ -537,87 +531,14 @@ def stratum_euler(cs: ConstraintSystem) -> int:
             x = parent[x]
         return x
 
-    for link in cs.links:
-        parent[find(link.source)] = find(link.target)
+    for source, target in cs.links:
+        parent[find(source)] = find(target)
     forced: dict[Weight, Point] = {}
     for w, line in cs.fixed_lines.items():
         if forced.setdefault(find(w), line) != line:
             return 0
     free = sum(1 for w in cs.variables if find(w) == w and w not in forced)
     return 2**free
-
-
-def _interp_coeffs(xs, ys):
-    """Lagrange interpolation coefficients, low power first, as Fractions."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            # multiply basis by (x - xs[j])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xs[j]
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= Fraction(xs[i] - xs[j])
-        scale = Fraction(ys[i]) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return coeffs
-
-
-_ORACLE_PRIMES = (5, 7, 11, 13, 17, 19)
-
-
-def stratum_euler_oracle_fp(cs: ConstraintSystem) -> int:
-    """Euler characteristic via point counts over prime fields.
-
-    Counts solutions in a product of P^1(F_p) for the first m + 2 primes
-    of 5, 7, 11, 13, 17, 19 (m variables), fits the counts by a polynomial
-    in p of degree at most m and evaluates it at p = 1.  m + 1 counts fix
-    such a polynomial; the one extra count makes counts that fit none
-    raise ArithmeticError.  The primes keep the engine's distinct forced
-    lines distinct modulo p.  More than 4 variables raise GuardExceeded.
-    """
-    if cs.infeasible:
-        return 0
-    m = len(cs.variables)
-    if m + 2 > len(_ORACLE_PRIMES):
-        limit = len(_ORACLE_PRIMES) - 2
-        raise GuardExceeded(f"field oracle takes <= {limit} variables, got {m}")
-    primes = _ORACLE_PRIMES[: m + 2]
-
-    index = {w: i for i, w in enumerate(cs.variables)}
-    fixed = [(index[w], pt) for w, pt in cs.fixed_lines.items()]
-    links = [(index[l.source], index[l.target]) for l in cs.links]
-
-    counts = []
-    for p in primes:
-        # one canonical representative per point of P^1(F_p)
-        points = [(1, t) for t in range(p)] + [(0, 1)]
-        total = 0
-        for assign in itertools.product(points, repeat=m):
-            ok = all(
-                (assign[i][0] * pt[1] - assign[i][1] * pt[0]) % p == 0
-                for i, pt in fixed
-            ) and all(assign[si] == assign[ti] for si, ti in links)
-            total += ok
-        counts.append(total)
-
-    coeffs = _interp_coeffs(primes, counts)
-    for d in range(m + 1, len(coeffs)):
-        if coeffs[d] != 0:
-            raise ArithmeticError(
-                "field counts do not fit a polynomial of degree <= variable count"
-            )
-    value = sum(coeffs)
-    if value.denominator != 1:
-        raise ArithmeticError("interpolated Euler characteristic is not integral")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -658,7 +579,7 @@ class FixedLocusSummary:
         return cls(tuple(data["v"]), data["n"], strata, data["total"])
 
 
-def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
+def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSummary:
     """Every consistent stratum of colength n and its Euler characteristic.
 
     The strata are the nodes of the pruned search with drop exactly n, in
@@ -677,12 +598,12 @@ def fixed_locus_summary(v, n: int, guard: int = 5) -> FixedLocusSummary:
     )
 
 
-def quot_fixed_euler(v, n: int, guard: int = 5) -> int:
+def quot_fixed_euler(v, n: int, guard: int = COLENGTH_GUARD) -> int:
     """Euler characteristic of the colength-n fixed locus."""
     return quot_series(v, n, guard=guard).coeffs[n]
 
 
-def quot_series(v, order: int, guard: int = 5) -> TruncatedSeries:
+def quot_series(v, order: int, guard: int = COLENGTH_GUARD) -> TruncatedSeries:
     """Generating series of fixed-locus Euler characteristics up to q^order.
 
     One pruned search covers every colength n <= order: each consistent

@@ -24,6 +24,7 @@ and width-independent: {"order": N, "coeffs": ["1", "3", ...]}.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 
@@ -174,10 +175,18 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":
+        """Read what to_json writes: an int order and a list of decimal
+        strings or ints; anything else, a float or a bool included, is a
+        ValueError rather than a truncated value."""
         data = json.loads(text)
-        order = int(data["order"])
-        coeffs = tuple(int(c) for c in data["coeffs"])
-        return cls(order, coeffs)
+        coeffs = data["coeffs"]
+        if type(coeffs) is not list:
+            raise ValueError(f"coeffs must be a list, got {coeffs!r}")
+        coeffs = [
+            int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
+            for c in coeffs
+        ]
+        return cls(data["order"], coeffs)
 
     def __str__(self) -> str:
         terms = []
@@ -211,6 +220,9 @@ def _over_one_minus_q_pow(a: list[int], e: int) -> None:
     """
     for n in range(e, len(a)):
         a[n] += a[n - e]
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _series_order(order) -> int:

@@ -26,12 +26,13 @@ import time
 from dataclasses import dataclass
 
 from .partitions import (
+    PLANE_PARTITION_GUARD,
     count_box_partitions,
     count_partition_pairs,
     box_partition_polynomial_dp,
     enumerate_box_monomial_ideals,
 )
-from .quotfixed import quot_series
+from .quotfixed import COLENGTH_GUARD, quot_series
 from .reflexive import ReflexiveParams
 from .series import box_product, macmahon, quot_closed_form
 
@@ -67,14 +68,24 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """Read what to_json writes: lhs and rhs must be lists of ints and
+        first_mismatch an int or null; a float or a bool there is a
+        ValueError rather than a truncated value."""
         data = json.loads(text)
+        for key in ("lhs", "rhs"):
+            values = data[key]
+            if type(values) is not list or any(type(c) is not int for c in values):
+                raise ValueError(f"{key} must be a list of ints, got {values!r}")
+        mism = data["first_mismatch"]
+        if mism is not None and type(mism) is not int:
+            raise ValueError(f"first_mismatch must be an int or null, got {mism!r}")
         return cls(
             claim=data["claim"],
             params=data["params"],
-            lhs=[int(c) for c in data["lhs"]],
-            rhs=[int(c) for c in data["rhs"]],
+            lhs=data["lhs"],
+            rhs=data["rhs"],
             status=data["status"],
-            first_mismatch=data["first_mismatch"],
+            first_mismatch=mism,
             wall_time=data["wall_time"],
         )
 
@@ -112,7 +123,9 @@ def _finish(claim, params, lhs, rhs, start, extra_ok: bool = True) -> Verificati
     )
 
 
-def verify_product_formula(v, order: int, guard: int = 5) -> VerificationReport:
+def verify_product_formula(
+    v, order: int, guard: int = COLENGTH_GUARD
+) -> VerificationReport:
     """Engine series against the closed form, up to q^order."""
     params = ReflexiveParams.of(v)
     start = time.perf_counter()
@@ -162,7 +175,9 @@ def verify_hilb_counts(v) -> VerificationReport:
     )
 
 
-def verify_rank2_free(order: int, guard: int = 12) -> VerificationReport:
+def verify_rank2_free(
+    order: int, guard: int = PLANE_PARTITION_GUARD
+) -> VerificationReport:
     """Pair counts against macmahon^2, the series of the free rank-2 case."""
     start = time.perf_counter()
     lhs = count_partition_pairs(order, guard=guard)

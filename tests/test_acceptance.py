@@ -9,6 +9,7 @@ import itertools
 import random
 
 from conftest import GRID
+from field_oracle import stratum_euler_oracle_fp
 from quotbox.partitions import (
     box_partition_polynomial_dp,
     count_box_partitions,
@@ -25,7 +26,6 @@ from quotbox.quotfixed import (
     quot_fixed_euler,
     quot_series,
     stratum_euler,
-    stratum_euler_oracle_fp,
 )
 from quotbox.reflexive import ReflexiveParams
 from quotbox.series import TruncatedSeries, box_product, macmahon, quot_closed_form

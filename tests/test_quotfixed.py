@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GRID, load_coeff_table
+from field_oracle import stratum_euler_oracle_fp
 from quotbox.partitions import GuardExceeded
 from quotbox.quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    Link,
     _consistent_strata,
     _layer_transfer,
     enumerate_coprofiles,
@@ -20,7 +21,6 @@ from quotbox.quotfixed import (
     quot_fixed_euler,
     quot_series,
     stratum_euler,
-    stratum_euler_oracle_fp,
 )
 from quotbox.reflexive import ReflexiveParams, fiber_dim
 from quotbox.series import quot_closed_form
@@ -34,7 +34,7 @@ def system(variables=(), fixed=None, links=(), infeasible=False):
     return ConstraintSystem(
         variables=tuple(variables),
         fixed_lines=dict(fixed or {}),
-        links=tuple(Link(s, t) for s, t in links),
+        links=tuple(links),
         infeasible=infeasible,
     )
 
@@ -137,6 +137,17 @@ def test_generator_singleton_system():
     assert cs.links == ()
     assert stratum_euler(cs) == 1
     assert stratum_euler_oracle_fp(cs) == 1
+
+
+def test_links_are_weight_pairs():
+    # a real linked stratum: x3 carries the line at (1, 1, 1) into (1, 1, 2),
+    # and the two are forced to different lines
+    entries = (((0, 1, 1), 1), ((0, 1, 2), 1), ((1, 0, 1), 1),
+               ((1, 1, 1), 1), ((1, 1, 2), 1))
+    cs = profile_constraint_system((1, 1, 1), Coprofile(entries))
+    assert cs.links == (((1, 1, 1), (1, 1, 2)),)
+    assert cs.fixed_lines == {(1, 1, 1): (1, 0), (1, 1, 2): (0, 1)}
+    assert stratum_euler(cs) == stratum_euler_oracle_fp(cs) == 0
 
 
 def test_profile_drop_exceeding_fiber_dim_raises():
@@ -376,6 +387,20 @@ def test_guards(monkeypatch):
             quot_fixed_euler((1, 1, 1), bad)
         with pytest.raises(ValueError):
             fixed_locus_summary((1, 1, 1), bad)
+
+
+def test_search_and_transfer_leave_no_cycles():
+    # the search's generator and the transfer's closures are unlinked when
+    # they finish, so their tables are freed at once, not by the collector
+    gc.collect()
+    gc.disable()
+    try:
+        fixed_locus_summary((1, 1, 1), 5)
+        assert gc.collect() == 0
+        quot_series((1, 1, 1), 6, guard=6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_summary_reads_one_fiber_table(monkeypatch):

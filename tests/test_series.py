@@ -246,6 +246,20 @@ def test_json_round_trip():
     data = json.loads(a.to_json())
     assert data == {"order": 5, "coeffs": ["1", "-3", "0", "12", "0", "0"]}
     assert TruncatedSeries.from_json(a.to_json()) == a
+    mixed = TruncatedSeries.from_json('{"order": 1, "coeffs": [1, "-2"]}')
+    assert mixed.coeffs == (1, -2)
+    # only what to_json writes: floats, bools and other strings are not truncated
+    for bad in (
+        '{"order": 2.9, "coeffs": ["1", 2.7, true]}',
+        '{"order": 2, "coeffs": ["1", 2.7, "1"]}',
+        '{"order": 2, "coeffs": ["1", true, "1"]}',
+        '{"order": true, "coeffs": ["1", "1"]}',
+        '{"order": 2, "coeffs": ["1", "2.0", "1"]}',
+        '{"order": 2, "coeffs": ["1", " 2", "+1"]}',
+        '{"order": 1, "coeffs": "12"}',
+    ):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_json(bad)
 
 
 def test_str_rendering():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quotbox.cli import cli_main
 from quotbox.partitions import count_box_partitions
 from quotbox.verify import (
@@ -59,6 +61,18 @@ def test_report_round_trip():
     report = verify_product_formula((2, 1, 1), 2)
     again = VerificationReport.from_json(report.to_json())
     assert again == report
+    # only what to_json writes: floats and bools are not truncated
+    for key, bad in [
+        ("lhs", [1.9, True]),
+        ("lhs", [1, 3, 9.0]),
+        ("rhs", [1, 3, True]),
+        ("rhs", "139"),
+        ("first_mismatch", 1.0),
+        ("first_mismatch", True),
+    ]:
+        payload = dict(json.loads(report.to_json()), **{key: bad})
+        with pytest.raises(ValueError):
+            VerificationReport.from_json(json.dumps(payload))
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "claim", "params", "lhs", "rhs", "status", "first_mismatch", "wall_time",
