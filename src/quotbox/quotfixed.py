@@ -28,41 +28,36 @@ makes the stratum empty, and otherwise every unforced component is a free
 P^1, so the Euler characteristic is 0 or 2^(free components).
 
 Two routes read the strata.  ``_consistent_strata`` is one depth-first
-search that adds (weight, drop) pairs in increasing lex order of weight
-and covers every colength up to the order at once.  The conditions of a
-stratum are indexed by their target weight w and read only the drops at
-the predecessors w - e_k, which come earlier in lex order.  So when a
-pair (w, c) is added, the conditions with target w are final and are
-decided right then; every extension of the branch keeps them, so
-infeasibility is monotone along a branch and an infeasible pair is cut
-with its whole subtree.  Every lex-order prefix of a consistent stratum
-is again a consistent stratum, so the search visits exactly the
-consistent strata.  Its candidates form a frontier (a child's list is
-the parent's list after the weight added, with that weight's three
-successors merged in), a per-weight predecessor table feeds
-``_target_rule``, and the links and forced lines of the branch live in
-``_Components``, a union-find with undo that carries the count of
-unforced components and a clash flag, so every node's Euler
-characteristic is known without building its constraint system.
-``fixed_locus_summary`` lists the search's nodes at one colength.
+search that adds (weight, drop) pairs in increasing lex order of weight,
+every colength up to the order at once.  The conditions with target w
+read only the drops at w - e_k, earlier in lex order, so they are decided
+when (w, c) is added, and an infeasible pair is cut with its subtree;
+every lex-order prefix of a consistent stratum is consistent, so the
+search visits exactly the consistent strata.  A child's candidates are
+its parent's after the weight added, with that weight's successors
+merged in (``_frontier``); a per-weight predecessor table feeds
+``_target_rule``; and the branch's links and forced lines live in
+``_Components``, a union-find with undo that counts the unforced
+components and notes a clash, so each node's Euler characteristic is
+known without a constraint system.  The search keys weights as packed
+ints (see ``_fiber_tables``), so lex order is integer order and an
+x1-layer an integer range.  ``fixed_locus_summary`` lists its nodes.
 
 ``quot_series`` (and so ``quot_fixed_euler``) runs ``_layer_transfer``
-instead: the same search, memoised at x1-layer boundaries.  Once the
-search leaves the x1-layer a, the rest of the branch sees only the
-layer-a entries, the components of their line variables and those
-components' forced lines, so the series of the later-layer tail is
-stored under that state and the remaining drop and reused; a component
-with no layer-a member is closed and only doubles the tail when
-unforced.  The summary's total against ``quot_fixed_euler`` is thus a
-check of the two routes against each other.
+instead: the same search, memoised at x1-layer boundaries (a tail past
+layer a sees only the layer-a entries, their components and those
+components' forced lines).  It runs on v sorted descending, so the
+layers cut the longest side: permuting coordinates is a torus-equivariant
+isomorphism R0(v) = R0(sigma v), and that orientation needed the fewest
+rule checks of all six on every triple measured.  The summary's total
+against ``quot_fixed_euler`` checks the two routes against each other.
 
-The tests' reference for the search lists every coprofile of one
-colength, infeasible strata included, with ``enumerate_coprofiles``: the
-set closure of the reachability rule, sharing no code with the search.
-``profile_constraint_system`` and ``stratum_euler`` build and evaluate
-one coprofile's system, and the tests' field oracle recounts its Euler
-characteristic over prime fields.  Everything is exact integer
-arithmetic; enumeration and search depth are guarded at colength
+The tests' reference lists every coprofile of one colength with
+``enumerate_coprofiles``, the set closure of the reachability rule,
+sharing no code with the search; ``profile_constraint_system`` and
+``stratum_euler`` build and evaluate one coprofile's system, and the
+tests' field oracle recounts it over prime fields.  Everything is exact
+integer arithmetic; enumeration and search depth are guarded at colength
 ``COLENGTH_GUARD`` unless the guard is raised.
 """
 
@@ -77,7 +72,7 @@ from dataclasses import dataclass
 
 from .partitions import GuardExceeded
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
-from .series import TruncatedSeries, _int_triple, _series_order
+from .series import TruncatedSeries, _int_triple, _json_fields, _series_order
 
 Point = tuple[int, int]
 
@@ -133,44 +128,61 @@ class Coprofile:
         return cls(tuple((tuple(w), c) for (w, c) in data))
 
 
-def _fiber_tables(params: ReflexiveParams):
-    """Memoized fiber dimension at w, and the predecessor table of w.
+def _pack(w: Weight, base: int) -> int:
+    return (w[0] * base + w[1]) * base + w[2]
 
-    preds(w) holds one (w - e_k, its fiber dimension, image line) for each
-    k whose predecessor fiber is nonzero.  The image line is the
+
+def _unpack(x: int, base: int) -> Weight:
+    return (x // (base * base), x // base % base, x % base)
+
+
+def _fiber_tables(params: ReflexiveParams, order: int):
+    """The packing base B of a search to this order, and the memoized
+    fiber dimension and predecessor table of a packed weight.
+
+    The search keys w as x = (w1*B + w2)*B + w3, exact and in lex order
+    while w2, w3 < B; then x + 1, x + B, x + B^2 are its successors and
+    x // B^2 its x1-layer.  It reads the generator weights and the
+    successors of a weight added with drop left after it, at most
+    order - 2 steps above a generator weight, so B = max(v) + order (and
+    at least max(v) + 1) is above every coordinate it reads.
+
+    preds(x) holds one (x - e_k, its fiber dimension, image line) for
+    each k whose predecessor fiber is nonzero.  The image line is the
     normalized line that x_k carries that fiber to when it is
-    1-dimensional and the fiber at w is 2-dimensional, else None.
+    1-dimensional and the fiber at x is 2-dimensional, else None.
     """
+    base = max(params) + max(order, 1)
 
     @functools.cache
-    def dim(w: Weight) -> int:
-        return fiber_dim(params, w)
+    def dim(x: int) -> int:
+        return fiber_dim(params, _unpack(x, base))
 
     @functools.cache
-    def preds(w: Weight):
+    def preds(x: int):
+        w = _unpack(x, base)
         out = []
-        for k, e in enumerate(_E, 1):
-            ws = (w[0] - e[0], w[1] - e[1], w[2] - e[2])
-            if min(ws) < 0 or not (ds := dim(ws)):
+        for k, step in enumerate((base * base, base, 1), 1):
+            if not w[k - 1] or not (ds := dim(xs := x - step)):
                 continue
             image = None
-            if ds == 1 and dim(w) == 2:
-                (x,), (y,) = mult_matrix(params, ws, k).matrix
-                image = _normalize_point(x, y)
-            out.append((ws, ds, image))
+            if ds == 1 and dim(x) == 2:
+                (a,), (b,) = mult_matrix(params, _unpack(xs, base), k).matrix
+                image = _normalize_point(a, b)
+            out.append((xs, ds, image))
         return tuple(out)
 
-    return dim, preds
+    return base, dim, preds
 
 
-def _frontier(cands: list[Weight], i: int) -> list[Weight]:
-    """The search's candidates once w = cands[i] is added, in lex order:
-    those after w in cands, with the successors w + e_k (which come after
-    w) merged in where missing."""
-    w = cands[i]
+def _frontier(cands: list[int], i: int, base: int) -> list[int]:
+    """The search's candidates once x = cands[i] is added, in lex order:
+    those after x in cands, with the successors x + e_k (which come after
+    x) merged in where missing."""
+    x = cands[i]
     out = cands[i + 1 :]
     lo = 0
-    for s in ((w[0], w[1], w[2] + 1), (w[0], w[1] + 1, w[2]), (w[0] + 1, w[1], w[2])):
+    for s in (x + 1, x + base, x + base * base):
         lo = bisect.bisect_left(out, s, lo)
         if lo == len(out) or out[lo] != s:
             out.insert(lo, s)
@@ -271,25 +283,28 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
     conditions of each target.
     """
-    dim, preds = _fiber_tables(ReflexiveParams.of(v))
-    drops = profile.as_dict()
+    params = ReflexiveParams.of(v)
+    # a base for "order" M is above M, the largest coordinate of the profile
+    base, dim, preds = _fiber_tables(params, max(sum(profile.support, (0,))))
+    drops = {_pack(w, base): c for w, c in profile.entries}
     variables = []
     fixed: dict[Weight, Point] = {}
     links: list[tuple[Weight, Weight]] = []
     infeasible = False
 
     for w, c in profile.entries:
-        d = dim(w)
+        d = dim(_pack(w, base))
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
         if d == 2 and c == 1:
             variables.append(w)
 
     for wt, ct in profile.entries:
-        forced, sources, bad = _target_rule(preds(wt), dim(wt) - ct, drops)
+        xt = _pack(wt, base)
+        forced, sources, bad = _target_rule(preds(xt), dim(xt) - ct, drops)
         if forced is not None:
             fixed[wt] = forced
-        links.extend((ws, wt) for ws in sources)
+        links.extend((_unpack(xs, base), wt) for xs in sources)
         infeasible = infeasible or bad
 
     return ConstraintSystem(
@@ -364,46 +379,46 @@ def _consistent_strata(params: ReflexiveParams, order: int):
     infeasible, as (entries, drop total, Euler characteristic), one per
     search node, in pre-order, which is lex order of the entries.
 
-    A depth-first search adds (weight, drop) pairs in increasing lex order
-    of weight, the order Coprofile entries are kept in.  The root's
-    candidates are the generator weights and a child's are those of
-    ``_frontier``, so they are the weights the reachability rule allows;
-    each takes a drop 1 <= c <= min(fiber dimension, remaining drop).  A
-    pair is decided the moment it is added: the drops of its predecessors
-    (earlier in lex order) are final then, so ``_target_rule`` settles its
-    conditions, and an infeasible pair is cut with its whole subtree.  No
-    ``Coprofile`` is built: the entries are already valid.  The branch's
-    line variables live in ``_Components``, so the Euler characteristic
-    of each node is known without a constraint system.
+    The root's candidates are the generator weights and a child's those
+    of ``_frontier``, the weights the reachability rule allows; each takes
+    a drop 1 <= c <= min(fiber dimension, remaining drop), and a pair is
+    decided by ``_target_rule`` the moment it is added (see the module
+    docstring).  No ``Coprofile`` is built: the entries are already valid.
     """
-    dim, preds = _fiber_tables(params)
+    base, dim, preds = _fiber_tables(params, order)
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
-    drops: dict[Weight, int] = {}
+    drops: dict[int, int] = {}  # the branch's entries, keyed packed
+    entries: list[tuple[Weight, int]] = []  # the same, decoded
 
     def grow(cands, remaining, free, clash):
-        yield tuple(drops.items()), order - remaining, 0 if clash else 1 << free
-        for i, w in enumerate(cands):
-            d = dim(w)
-            table = preds(w)
+        yield tuple(entries), order - remaining, 0 if clash else 1 << free
+        if not remaining:
+            return
+        for i, x in enumerate(cands):
+            d = dim(x)
+            table = preds(x)
             after = None
             for c in range(1, min(d, remaining) + 1):
                 forced, sources, infeasible = _target_rule(table, d - c, drops)
                 if infeasible:
                     continue
-                if after is None:
-                    after = _frontier(cands, i)
-                drops[w] = c
+                if after is None and c < remaining:
+                    after = _frontier(cands, i, base)
+                drops[x] = c
+                entries.append((_unpack(x, base), c))
                 if d == 2 and c == 1:
-                    merges, f, cl = add_variable(w, forced, sources, free, clash)
+                    merges, f, cl = add_variable(x, forced, sources, free, clash)
                     yield from grow(after, remaining - c, f, cl)
-                    remove_variable(w, merges)
+                    remove_variable(x, merges)
                 else:
                     yield from grow(after, remaining - c, free, clash)
-                del drops[w]
+                entries.pop()
+                del drops[x]
 
     try:
-        yield from grow(sorted(params.generator_weights()), order, 0, False)
+        gens = sorted(_pack(g, base) for g in params.generator_weights())
+        yield from grow(gens, order, 0, False)
     finally:
         # grow reaches itself through its cell: free its tables now
         del grow
@@ -414,16 +429,15 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
     over the consistent strata: the search of ``_consistent_strata``,
     memoised at x1-layer boundaries.
 
-    The search adds weights in lex order, so the weights of one x1-layer
-    a = w[0] come together, and once a later layer is entered layer a is
-    final.  The children of a node whose last weight lies in layer a split
-    in two: those in layer a, searched as before, and those in later
-    layers.  What the later-layer tail can see of the branch is fixed by
+    Weights are added in lex order, so once a later x1-layer is entered
+    layer a is final.  The children of a node whose last weight lies in
+    layer a split at the packed weight (a + 1) * B^2: those in layer a are
+    searched as before, and the later-layer tail sees of the branch only
     the layer-a entries: its candidates are the generator weights past
     layer a and the successors w + e1 of layer-a weights, its conditions
     read drops in layer a at the earliest, and its links reach the
     branch's components only through layer-a line variables.  So the tail
-    is memoised under the key (a, the layer-a entries, the components of
+    is memoised under the key (the layer-a entries, the components of
     the layer-a line variables in canonical labels with each one's forced
     line, remaining drop).  Its value is computed with the free count set
     to the open unforced components, those with a layer-a member; the
@@ -432,12 +446,13 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
     clash is skipped, because the Euler characteristic is 0 on its whole
     subtree.
     """
-    dim, preds = _fiber_tables(params)
+    base, dim, preds = _fiber_tables(params, order)
+    layer_size = base * base
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
     find, parent, line = comps.find, comps.parent, comps.line
-    drops: dict[Weight, int] = {}
-    path: list[tuple[Weight, int]] = []  # the branch's entries, in order
+    drops: dict[int, int] = {}
+    path: list[tuple[int, int]] = []  # the branch's entries, in order
     memo: dict[tuple, list[int]] = {}
 
     def children(cands, lo, hi, start, remaining, free, out):
@@ -446,9 +461,9 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
         where the child's layer begins: the parent's own for a candidate
         in the parent's layer, len(path) for one in a later layer."""
         for i in range(lo, hi):
-            w = cands[i]
-            d = dim(w)
-            table = preds(w)
+            x = cands[i]
+            d = dim(x)
+            table = preds(x)
             after = None
             for c in range(1, min(d, remaining) + 1):
                 forced, sources, infeasible = _target_rule(table, d - c, drops)
@@ -457,24 +472,24 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
                 merges = None
                 f = free
                 if d == 2 and c == 1:
-                    merges, f, clash = add_variable(w, forced, sources, free, False)
+                    merges, f, clash = add_variable(x, forced, sources, free, False)
                     if clash:
-                        remove_variable(w, merges)
+                        remove_variable(x, merges)
                         continue
                 if c == remaining:  # a leaf: no drop left for children
                     out[c] += 1 << f
                 else:
                     if after is None:
-                        after = _frontier(cands, i)
-                    drops[w] = c
-                    path.append((w, c))
+                        after = _frontier(cands, i, base)
+                    drops[x] = c
+                    path.append((x, c))
                     sub = node(after, start, remaining - c, f)
-                    for k, x in enumerate(sub, c):
-                        out[k] += x
+                    for k, s in enumerate(sub, c):
+                        out[k] += s
                     path.pop()
-                    del drops[w]
+                    del drops[x]
                 if merges is not None:
-                    remove_variable(w, merges)
+                    remove_variable(x, merges)
 
     def node(cands, start, remaining, free):
         """Series of the subtree of the node whose last entry is path[-1]
@@ -482,23 +497,23 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
         node's; free is its count of unforced components."""
         out = [0] * (remaining + 1)
         out[0] = 1 << free
-        a = path[-1][0][0]
-        split = bisect.bisect_left(cands, (a + 1,))
+        a = path[-1][0] // layer_size
+        split = bisect.bisect_left(cands, (a + 1) * layer_size)
         children(cands, 0, split, start, remaining, free, out)
         if split == len(cands):
             return out
         layer = tuple(path[start:])
-        roots: dict[Weight, int] = {}
+        roots: dict[int, int] = {}
         labels = []
         lines = []
-        for w, _ in layer:
-            if w in parent:
-                r = find(w)
+        for x, _ in layer:
+            if x in parent:
+                r = find(x)
                 if r not in roots:
                     roots[r] = len(lines)
                     lines.append(line[r])
                 labels.append(roots[r])
-        key = (a, layer, tuple(labels), tuple(lines), remaining)
+        key = (layer, tuple(labels), tuple(lines), remaining)
         open_free = lines.count(None)
         tail = memo.get(key)
         if tail is None:
@@ -511,7 +526,7 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
         return out
 
     out = [1] + [0] * order
-    gens = sorted(params.generator_weights())
+    gens = sorted(_pack(g, base) for g in params.generator_weights())
     children(gens, 0, len(gens), 0, order, 0, out)
     # the two closures reach each other through their cells; unlinking
     # them frees the memo and the tables now, not at the next collection
@@ -571,12 +586,19 @@ class FixedLocusSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "FixedLocusSummary":
-        data = json.loads(text)
-        strata = [
-            StratumRecord(Coprofile.from_jsonable(s["coprofile"]), s["euler"])
-            for s in data["strata"]
+        """Read what to_json writes: v three ints, n an order, strata a
+        list, each euler and the total an int; anything else, a float or
+        a bool included, is a ValueError."""
+        v, n, strata, total = _json_fields(json.loads(text), "v", "n", "strata", "total")
+        if type(strata) is not list:
+            raise ValueError(f"strata must be a list, got {strata!r}")
+        records = [
+            StratumRecord(Coprofile.from_jsonable(cop), euler)
+            for cop, euler in (_json_fields(s, "coprofile", "euler") for s in strata)
         ]
-        return cls(tuple(data["v"]), data["n"], strata, data["total"])
+        if any(type(x) is not int for x in [total] + [r.euler for r in records]):
+            raise ValueError("euler and total must be ints")
+        return cls(_int_triple(v), _series_order(n), records, total)
 
 
 def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSummary:
@@ -607,8 +629,11 @@ def quot_series(v, order: int, guard: int = COLENGTH_GUARD) -> TruncatedSeries:
     """Generating series of fixed-locus Euler characteristics up to q^order.
 
     One pruned search covers every colength n <= order: each consistent
-    stratum adds its Euler characteristic to coefficient n.
+    stratum adds its Euler characteristic to coefficient n.  It runs on v
+    sorted descending, so the x1-layers cut the longest side; permuting
+    coordinates is a torus-equivariant isomorphism R0(v) = R0(sigma v).
     """
     params = ReflexiveParams.of(v)
     _check_order(order, guard)
-    return TruncatedSeries(order, tuple(_layer_transfer(params, order)))
+    longest_first = ReflexiveParams(*sorted(params, reverse=True))
+    return TruncatedSeries(order, tuple(_layer_transfer(longest_first, order)))

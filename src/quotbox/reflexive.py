@@ -84,12 +84,6 @@ def _dominates(w: Weight, u: Weight) -> bool:
     return w[0] >= u[0] and w[1] >= u[1] and w[2] >= u[2]
 
 
-def _present(params: ReflexiveParams, w: Weight) -> frozenset[int]:
-    return frozenset(
-        i + 1 for i, g in enumerate(params.generator_weights()) if _dominates(w, g)
-    )
-
-
 @dataclass(frozen=True)
 class FiberDescription:
     """Fiber of R0 at one weight.
@@ -110,7 +104,8 @@ def fiber(v, w) -> FiberDescription:
     """Describe the fiber of R0 at weight w."""
     params = ReflexiveParams.of(v)
     w = _int_triple(w)
-    present = _present(params, w)
+    gens = params.generator_weights()
+    present = frozenset(i + 1 for i, g in enumerate(gens) if _dominates(w, g))
     if len(present) == 0:
         return FiberDescription(w, present, 0, (), None)
     if len(present) == 1:
@@ -122,10 +117,11 @@ def fiber(v, w) -> FiberDescription:
 
 
 def fiber_dim(v, w) -> int:
-    """Dimension of the fiber at w, without building basis data."""
-    params = ReflexiveParams.of(v)
-    k = len(_present(params, _int_triple(w)))
-    return 2 if k == 3 else k
+    """Dimension of the fiber at w, without building basis data: w >= g_i
+    when w passes v in the two coordinates where g_i is nonzero."""
+    v1, v2, v3 = ReflexiveParams.of(v)
+    w1, w2, w3 = _int_triple(w)
+    return max((w1 >= v1) + (w2 >= v2) + (w3 >= v3) - 1, 0)
 
 
 def _coords_in_basis(fd: FiberDescription, vec: tuple[int, int, int]):

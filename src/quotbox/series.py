@@ -178,15 +178,14 @@ class TruncatedSeries:
         """Read what to_json writes: an int order and a list of decimal
         strings or ints; anything else, a float or a bool included, is a
         ValueError rather than a truncated value."""
-        data = json.loads(text)
-        coeffs = data["coeffs"]
+        order, coeffs = _json_fields(json.loads(text), "order", "coeffs")
         if type(coeffs) is not list:
             raise ValueError(f"coeffs must be a list, got {coeffs!r}")
         coeffs = [
             int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
             for c in coeffs
         ]
-        return cls(data["order"], coeffs)
+        return cls(order, coeffs)
 
     def __str__(self) -> str:
         terms = []
@@ -239,6 +238,14 @@ def _exponent(e) -> int:
     if type(e) is not int:
         raise ValueError(f"exponent must be an int, got {e!r}")
     return e
+
+
+def _json_fields(data, *keys) -> list:
+    """The values at keys of a decoded JSON object; a document that is
+    not an object, or that lacks a key, is a ValueError."""
+    if type(data) is not dict or not data.keys() >= set(keys):
+        raise ValueError(f"expected an object with keys {keys}, got {data!r}")
+    return [data[k] for k in keys]
 
 
 def _int_triple(t) -> tuple[int, int, int]:

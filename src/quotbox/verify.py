@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .partitions import (
     PLANE_PARTITION_GUARD,
@@ -34,7 +34,7 @@ from .partitions import (
 )
 from .quotfixed import COLENGTH_GUARD, quot_series
 from .reflexive import ReflexiveParams
-from .series import box_product, macmahon, quot_closed_form
+from .series import _json_fields, box_product, macmahon, quot_closed_form
 
 
 @dataclass
@@ -71,23 +71,15 @@ class VerificationReport:
         """Read what to_json writes: lhs and rhs must be lists of ints and
         first_mismatch an int or null; a float or a bool there is a
         ValueError rather than a truncated value."""
-        data = json.loads(text)
+        report = cls(*_json_fields(json.loads(text), *(f.name for f in fields(cls))))
         for key in ("lhs", "rhs"):
-            values = data[key]
+            values = getattr(report, key)
             if type(values) is not list or any(type(c) is not int for c in values):
                 raise ValueError(f"{key} must be a list of ints, got {values!r}")
-        mism = data["first_mismatch"]
+        mism = report.first_mismatch
         if mism is not None and type(mism) is not int:
             raise ValueError(f"first_mismatch must be an int or null, got {mism!r}")
-        return cls(
-            claim=data["claim"],
-            params=data["params"],
-            lhs=data["lhs"],
-            rhs=data["rhs"],
-            status=data["status"],
-            first_mismatch=mism,
-            wall_time=data["wall_time"],
-        )
+        return report
 
     def summary(self) -> str:
         line = f"claim={self.claim} params={self.params} status={self.status.upper()}"

@@ -345,10 +345,48 @@ def test_series_matches_closed_form_at_order_twelve():
 
 
 def test_permutation_invariance():
+    # quot_series runs one orientation, so compare the transfer itself
     for v, order in [((1, 2, 2), 2), ((1, 2, 3), 7)]:
-        base = quot_series(v, order, guard=order)
+        base = _layer_transfer(ReflexiveParams(*v), order)
         for perm in set(itertools.permutations(v)):
-            assert quot_series(perm, order, guard=order).coeffs == base.coeffs
+            assert _layer_transfer(ReflexiveParams(*perm), order) == base
+
+
+def test_all_six_orientations_at_order_ten():
+    expected = list(quot_closed_form((1, 2, 3), 10).coeffs)
+    for perm in itertools.permutations((1, 2, 3)):
+        assert _layer_transfer(ReflexiveParams(*perm), 10) == expected
+
+
+def test_quot_series_slices_the_longest_side(monkeypatch):
+    # the transfer runs on v sorted descending; the report keeps v
+    seen = []
+
+    def recording(params, order):
+        seen.append(params.triple)
+        return _layer_transfer(params, order)
+
+    monkeypatch.setattr("quotbox.quotfixed._layer_transfer", recording)
+    report = verify_product_formula((1, 2, 3), 4)
+    assert report.ok and report.params == {"v": [1, 2, 3], "order": 4}
+    assert quot_fixed_euler((2, 3, 1), 3) == quot_closed_form((1, 2, 3), 3)[3]
+    assert seen == [(3, 2, 1), (3, 2, 1)]
+
+
+def test_packing_base_does_not_alias():
+    # on elongated triples a weight's coordinates reach the packing base
+    # soonest; an aliased weight drops or doubles strata, which the closed
+    # form and the strict order of the search's entries both expose
+    for v in [(1, 1, 8), (8, 2, 1)]:
+        for perm in set(itertools.permutations(v)):
+            params = ReflexiveParams(*perm)
+            for order in range(7):
+                sums = [0] * (order + 1)
+                for entries, drop, chi in _consistent_strata(params, order):
+                    assert Coprofile(entries).n == drop
+                    sums[drop] += chi
+                assert _layer_transfer(params, order) == sums
+                assert sums == list(quot_closed_form(v, order).coeffs)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
@@ -361,7 +399,8 @@ def test_series_properties(case):
     v, perm = case
     series = quot_series(v, 7, guard=7)
     assert series == quot_closed_form(v, 7)
-    assert quot_series(tuple(perm), 7, guard=7) == series
+    transfer = _layer_transfer(ReflexiveParams(*perm), 7)
+    assert transfer == _layer_transfer(ReflexiveParams(*v), 7) == list(series.coeffs)
 
 
 def test_guards(monkeypatch):
@@ -430,6 +469,30 @@ def test_summary_structure_and_json():
     again = FixedLocusSummary.from_json(summary.to_json())
     assert again.to_json() == summary.to_json()
     assert again.strata[0].coprofile == summary.strata[0].coprofile
+    assert again.v == (1, 1, 1) and again.n == 1 and again.total == 3
+    # only what to_json writes: floats, bools and strings are not kept
+    for key, bad in [
+        ("v", [1.5, True, "x"]),
+        ("v", [1, 1]),
+        ("n", 2.5),
+        ("n", True),
+        ("total", "9"),
+        ("total", 3.0),
+        ("strata", [{"coprofile": [], "euler": 1.7}]),
+        ("strata", [{"coprofile": []}]),
+        ("strata", [[[], 1]]),
+        ("strata", "[]"),
+    ]:
+        with pytest.raises(ValueError):
+            FixedLocusSummary.from_json(json.dumps(dict(data, **{key: bad})))
+    unchecked = (
+        '{"v": [1.5, true, "x"], "n": 2.5,'
+        ' "strata": [{"coprofile": [], "euler": 1.7}], "total": "9"}'
+    )
+    missing = json.dumps({k: data[k] for k in ("v", "n", "strata")})
+    for bad in (unchecked, "[1]", "{}", missing):
+        with pytest.raises(ValueError):
+            FixedLocusSummary.from_json(bad)
 
 
 def test_determinism():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import GRID
 from quotbox.reflexive import (
     ReflexiveParams,
     check_cosection_quotient,
@@ -81,6 +82,13 @@ def test_fiber_respects_v():
     assert fiber_dim(v, (1, 1, 2)) == 0
     assert fiber_dim(v, (2, 1, 3)) == 2
     assert fiber_dim(v, (5, 5, 5)) == 2
+
+
+def test_fiber_dim_matches_fiber():
+    # the three comparisons against v agree with the generator count
+    for v in GRID:
+        for w in window(6):
+            assert fiber_dim(v, w) == fiber(v, w).dim
 
 
 def test_present_never_two():

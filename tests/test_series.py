@@ -257,6 +257,11 @@ def test_json_round_trip():
         '{"order": 2, "coeffs": ["1", "2.0", "1"]}',
         '{"order": 2, "coeffs": ["1", " 2", "+1"]}',
         '{"order": 1, "coeffs": "12"}',
+        # not an object, or a key missing
+        '[1]',
+        '{"coeffs": ["1"]}',
+        '{"order": 0}',
+        '"1"',
     ):
         with pytest.raises(ValueError):
             TruncatedSeries.from_json(bad)

@@ -77,6 +77,11 @@ def test_report_round_trip():
     assert set(payload) == {
         "claim", "params", "lhs", "rhs", "status", "first_mismatch", "wall_time",
     }
+    # a document that is not an object, or lacks a key, is a ValueError
+    partial = {k: v for k, v in payload.items() if k != "wall_time"}
+    for bad in ("{}", "[1]", "null", json.dumps(partial)):
+        with pytest.raises(ValueError):
+            VerificationReport.from_json(bad)
 
 
 def test_failing_report_shape():
