@@ -3,14 +3,7 @@
 Run with: python demos/04_fixed_locus_walkthrough.py
 """
 
-from quotbox import (
-    Coprofile,
-    fixed_locus_summary,
-    profile_constraint_system,
-    quot_series,
-    quot_closed_form,
-    stratum_euler,
-)
+from quotbox import fixed_locus_summary, quot_closed_form, quot_series
 
 v = (1, 1, 1)
 print(f"v = {v}: fixed quotients of colength n are graded submodules")
@@ -28,12 +21,12 @@ for n in (1, 2):
 
 print("A drop at the corner weight alone is not a valid profile: the")
 print("three generator fibers push distinct lines into the corner, so")
-print("the would-be stratum is empty.  Building it by hand shows the")
-print("constraint system noticing:")
-corner = Coprofile((((1, 1, 1), 1),))
-cs = profile_constraint_system(v, corner)
-print(f"  infeasible: {cs.infeasible}, forced lines {cs.fixed_lines}")
-print(f"  engine: {stratum_euler(cs)}\n")
+print("the would-be stratum is empty, and the search never lists it.")
+print("No colength-1 stratum has the corner in its support:")
+corner = (1, 1, 1)
+supports = [rec.coprofile.support for rec in fixed_locus_summary(v, 1).strata]
+print(f"  supports {supports}")
+print(f"  corner {corner} in one of them: {any(corner in s for s in supports)}\n")
 
 print("A consistent stratum can still be empty, when links join two")
 print("differently forced lines:")

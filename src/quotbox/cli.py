@@ -20,7 +20,9 @@ from .partitions import (
     box_partition_polynomial_dp,
     enumerate_plane_partitions,
 )
-from .quotfixed import COLENGTH_GUARD, fixed_locus_summary, quot_fixed_euler, quot_series
+from .quotfixed import (
+    COLENGTH_GUARD, fixed_locus_summary, quot_fixed_euler, quot_series,
+)
 from .series import box_product, macmahon
 from .verify import (
     verify_product_formula,
@@ -34,7 +36,49 @@ def _coeff_line(series) -> str:
     return " ".join(str(c) for c in series.coeffs)
 
 
+# (flag, add_argument keywords) of the arguments several commands share
+_V = ("--v", {"type": int, "nargs": 3, "required": True, "metavar": ("A", "B", "C")})
+_N = ("--n", {"type": int, "required": True})
+_ORDER = ("--order", {"type": int, "required": True})
+_JSON = ("--json", {"type": str, "default": None, "metavar": "PATH",
+                    "help": "write the report as JSON to PATH"})
+
+
+def _guard(default: int):
+    return ("--guard", {"type": int, "default": default})
+
+
+def _leaf(group, name: str, help: str, handler, *arguments) -> None:
+    """Add subcommand name to group, run by handler, with its arguments in
+    the order given."""
+    p = group.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    for flag, keywords in arguments:
+        p.add_argument(flag, **keywords)
+
+
+def _count_box(args) -> None:
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
+    counts = box_partition_polynomial_dp(args.v).coeffs
+    print(counts[args.n] if args.n < len(counts) else 0)
+
+
+def _quot_euler(args) -> None:
+    if not args.strata:
+        print(quot_fixed_euler(args.v, args.n, guard=args.guard))
+        return
+    summary = fixed_locus_summary(args.v, args.n, guard=args.guard)
+    for rec in summary.strata:
+        cells = " ".join(f"{w}:{c}" for w, c in rec.coprofile.entries)
+        print(f"stratum [{cells}] euler={rec.euler}")
+    print(f"total {summary.total}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommand tree.  Each leaf names its handler: a ``verify``
+    handler returns its report, the others print and return None.
+    Handlers read library names as module globals when they are called."""
     parser = argparse.ArgumentParser(
         prog="quotbox",
         description="Exact counts and series for graded quotients of the "
@@ -42,101 +86,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_series = sub.add_parser("series", help="closed-form series")
-    series_sub = p_series.add_subparsers(dest="series_cmd", required=True)
-    p_mac = series_sub.add_parser("macmahon", help="plane partition series")
-    p_mac.add_argument("--order", type=int, required=True)
-    p_box = series_sub.add_parser("boxgen", help="box-bounded partition polynomial")
-    p_box.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_box.add_argument("--order", type=int, default=None)
+    def group(name, help, dest):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
-    p_count = sub.add_parser("count", help="enumerative counters")
-    count_sub = p_count.add_subparsers(dest="count_cmd", required=True)
-    p_pp = count_sub.add_parser("pp", help="plane partitions of n")
-    p_pp.add_argument("n", type=int)
-    p_pp.add_argument("--guard", type=int, default=PLANE_PARTITION_GUARD)
-    p_cb = count_sub.add_parser("box", help="box-bounded plane partitions of n")
-    p_cb.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_cb.add_argument("--n", type=int, required=True)
+    series = group("series", "closed-form series", "series_cmd")
+    _leaf(series, "macmahon", "plane partition series",
+          lambda a: print(_coeff_line(macmahon(a.order))), _ORDER)
+    _leaf(series, "boxgen", "box-bounded partition polynomial",
+          lambda a: print(_coeff_line(box_product(a.v, a.order))),
+          _V, ("--order", {"type": int, "default": None}))
 
-    p_quot = sub.add_parser("quot", help="fixed-locus engine")
-    quot_sub = p_quot.add_subparsers(dest="quot_cmd", required=True)
-    p_qe = quot_sub.add_parser("euler", help="Euler characteristic at colength n")
-    p_qe.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_qe.add_argument("--n", type=int, required=True)
-    p_qe.add_argument(
-        "--strata", action="store_true",
-        help="list every consistent stratum and its Euler characteristic",
-    )
-    p_qe.add_argument("--guard", type=int, default=COLENGTH_GUARD)
-    p_qs = quot_sub.add_parser("series", help="Euler characteristic series")
-    p_qs.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_qs.add_argument("--order", type=int, required=True)
-    p_qs.add_argument("--guard", type=int, default=COLENGTH_GUARD)
+    count = group("count", "enumerative counters", "count_cmd")
+    _leaf(count, "pp", "plane partitions of n",
+          lambda a: print(len(enumerate_plane_partitions(a.n, guard=a.guard))),
+          ("n", {"type": int}), _guard(PLANE_PARTITION_GUARD))
+    _leaf(count, "box", "box-bounded plane partitions of n", _count_box, _V, _N)
 
-    p_verify = sub.add_parser("verify", help="run a verification claim")
-    verify_sub = p_verify.add_subparsers(dest="claim", required=True)
-    p_prod = verify_sub.add_parser("product", help="engine series vs closed form")
-    p_prod.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_prod.add_argument("--order", type=int, required=True)
-    p_prod.add_argument("--guard", type=int, default=COLENGTH_GUARD)
-    p_st = verify_sub.add_parser("stanley", help="three-way box counts")
-    p_st.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_hilb = verify_sub.add_parser("hilb", help="fat-point ideal counts vs box counts")
-    p_hilb.add_argument("--v", type=int, nargs=3, required=True, metavar=("A", "B", "C"))
-    p_r2 = verify_sub.add_parser("rank2free", help="pair counts vs macmahon^2")
-    p_r2.add_argument("--order", type=int, required=True)
-    p_r2.add_argument("--guard", type=int, default=PLANE_PARTITION_GUARD)
-    for p in (p_prod, p_st, p_hilb, p_r2):
-        p.add_argument("--json", type=str, default=None, metavar="PATH",
-                       help="write the report as JSON to PATH")
+    quot = group("quot", "fixed-locus engine", "quot_cmd")
+    strata = ("--strata", {
+        "action": "store_true",
+        "help": "list every consistent stratum and its Euler characteristic",
+    })
+    _leaf(quot, "euler", "Euler characteristic at colength n", _quot_euler,
+          _V, _N, strata, _guard(COLENGTH_GUARD))
+    _leaf(quot, "series", "Euler characteristic series",
+          lambda a: print(_coeff_line(quot_series(a.v, a.order, guard=a.guard))),
+          _V, _ORDER, _guard(COLENGTH_GUARD))
 
+    verify = group("verify", "run a verification claim", "claim")
+    _leaf(verify, "product", "engine series vs closed form",
+          lambda a: verify_product_formula(a.v, a.order, guard=a.guard),
+          _V, _ORDER, _guard(COLENGTH_GUARD), _JSON)
+    _leaf(verify, "stanley", "three-way box counts",
+          lambda a: verify_stanley(a.v), _V, _JSON)
+    _leaf(verify, "hilb", "fat-point ideal counts vs box counts",
+          lambda a: verify_hilb_counts(a.v), _V, _JSON)
+    _leaf(verify, "rank2free", "pair counts vs macmahon^2",
+          lambda a: verify_rank2_free(a.order, guard=a.guard),
+          _ORDER, _guard(PLANE_PARTITION_GUARD), _JSON)
     return parser
 
 
 def _run(args) -> int:
-    if args.command == "series":
-        if args.series_cmd == "macmahon":
-            print(_coeff_line(macmahon(args.order)))
-        else:
-            print(_coeff_line(box_product(args.v, args.order)))
+    """Call the command's handler; a report it returns is printed, written
+    to --json and decides the exit code."""
+    report = args.handler(args)
+    if report is None:
         return 0
-
-    if args.command == "count":
-        if args.count_cmd == "pp":
-            print(len(enumerate_plane_partitions(args.n, guard=args.guard)))
-        else:
-            if args.n < 0:
-                raise ValueError("n must be >= 0")
-            counts = box_partition_polynomial_dp(args.v).coeffs
-            print(counts[args.n] if args.n < len(counts) else 0)
-        return 0
-
-    if args.command == "quot":
-        if args.quot_cmd == "euler":
-            if args.strata:
-                summary = fixed_locus_summary(args.v, args.n, guard=args.guard)
-                for rec in summary.strata:
-                    cells = " ".join(
-                        f"{w}:{c}" for w, c in rec.coprofile.entries
-                    )
-                    print(f"stratum [{cells}] euler={rec.euler}")
-                print(f"total {summary.total}")
-            else:
-                print(quot_fixed_euler(args.v, args.n, guard=args.guard))
-        else:
-            print(_coeff_line(quot_series(args.v, args.order, guard=args.guard)))
-        return 0
-
-    # verify
-    if args.claim == "product":
-        report = verify_product_formula(args.v, args.order, guard=args.guard)
-    elif args.claim == "stanley":
-        report = verify_stanley(args.v)
-    elif args.claim == "hilb":
-        report = verify_hilb_counts(args.v)
-    else:
-        report = verify_rank2_free(args.order, guard=args.guard)
     print(report.summary())
     if args.json:
         with open(args.json, "w") as fh:

@@ -37,10 +37,20 @@ import json
 import math
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, _box_triple, _int_triple, _series_order
+from .series import (
+    TruncatedSeries, _box_triple, _int_triple, _json_fields, _json_list, _series_order,
+)
+
+__all__ = [
+    "GuardExceeded", "MonomialIdeal", "PlanePartition", "box_partition_polynomial_dp",
+    "count_box_partitions", "count_partition_pairs", "enumerate_box_monomial_ideals",
+    "enumerate_plane_partitions", "monomial_ideal_to_partition",
+    "partition_to_monomial_ideal",
+]
 
 
 PLANE_PARTITION_GUARD = 12  # default size bound of plane partition walks
+BOX_WALK_GUARD = 1_000_000  # bound on the stacks one box walk visits
 
 
 class GuardExceeded(RuntimeError):
@@ -85,22 +95,15 @@ class PlanePartition:
 
     def boxes(self) -> frozenset[tuple[int, int, int]]:
         """The staircase: all (a, b, c) with c < height(a, b)."""
-        out = set()
-        for a, row in enumerate(self.rows):
-            for b, h in enumerate(row):
-                for c in range(h):
-                    out.add((a, b, c))
-        return frozenset(out)
+        return frozenset(
+            (a, b, c) for a, row in enumerate(self.rows) for b, h in enumerate(row)
+            for c in range(h)
+        )
 
     def fits_in_box(self, v) -> bool:
         v1, v2, v3 = _box_triple(v)
-        if len(self.rows) > v1:
-            return False
-        if self.rows and len(self.rows[0]) > v2:
-            return False
-        if self.rows and self.rows[0][0] > v3:
-            return False
-        return True
+        top = self.rows[0] if self.rows else ()  # the longest row, tallest first
+        return len(self.rows) <= v1 and len(top) <= v2 and max(top, default=0) <= v3
 
     @classmethod
     def from_boxes(cls, boxes) -> "PlanePartition":
@@ -130,7 +133,9 @@ class PlanePartition:
 
     @classmethod
     def from_json(cls, text: str) -> "PlanePartition":
-        return cls.from_boxes(tuple(t) for t in json.loads(text))
+        """Read what to_json writes, a list of box triples; anything else
+        is a ValueError."""
+        return cls.from_boxes(_json_list(json.loads(text), "a partition"))
 
 
 def _rows_fitting(bound, budget):
@@ -209,8 +214,16 @@ def count_box_partitions(v) -> list[int]:
     partitions of n in the box.  One walk visits every stack of at most
     v1 rows under the top row (v3,) * v2 and buckets it by its total;
     this is the brute-force reference for the DP and the product formula.
+    The walk visits one stack per partition in the box, MacMahon's
+    prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k); above
+    BOX_WALK_GUARD it raises GuardExceeded before any work.
     """
     v1, v2, v3 = _box_triple(v)
+    # the product telescopes in k to prod (i+j+v3-1)/(i+j-1), an exact quotient
+    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+    stacks = math.prod(h + v3 for h in hooks) // math.prod(hooks)
+    if stacks > BOX_WALK_GUARD:
+        raise GuardExceeded(f"box walk of {stacks} stacks, guard is {BOX_WALK_GUARD}")
     volume = v1 * v2 * v3
     return _counts_by_total(_stacks((v3,) * v2, volume, v1), volume)
 
@@ -350,9 +363,12 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, text: str) -> "MonomialIdeal":
+        """Read what to_json writes: a list of generator triples and, for
+        a box quotient, the box; anything else is a ValueError."""
         data = json.loads(text)
-        box = tuple(data["box"]) if "box" in data else None
-        return cls(tuple(tuple(g) for g in data["generators"]), box)
+        (gens,) = _json_fields(data, "generators")
+        box = _box_triple(data["box"]) if "box" in data else None
+        return cls(tuple(_json_list(gens, "generators")), box)
 
 
 def partition_to_monomial_ideal(pp: PlanePartition, box=None) -> MonomialIdeal:

@@ -72,7 +72,16 @@ from dataclasses import dataclass
 
 from .partitions import GuardExceeded
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
-from .series import TruncatedSeries, _int_triple, _json_fields, _series_order
+from .series import (
+    TruncatedSeries, _int_triple, _json_fields, _json_list, _series_order,
+)
+
+# the reference layer (enumerate_coprofiles, ConstraintSystem,
+# profile_constraint_system, stratum_euler) is not exported
+__all__ = [
+    "Coprofile", "FixedLocusSummary", "StratumRecord", "fixed_locus_summary",
+    "quot_fixed_euler", "quot_series",
+]
 
 Point = tuple[int, int]
 
@@ -125,7 +134,10 @@ class Coprofile:
 
     @classmethod
     def from_jsonable(cls, data) -> "Coprofile":
-        return cls(tuple((tuple(w), c) for (w, c) in data))
+        """Read what to_jsonable writes, a list of [weight, drop] pairs;
+        anything else is a ValueError."""
+        entries = _json_list(data, "a coprofile")
+        return cls(tuple(_json_list(e, "a coprofile entry") for e in entries))
 
 
 def _pack(w: Weight, base: int) -> int:
@@ -587,18 +599,24 @@ class FixedLocusSummary:
     @classmethod
     def from_json(cls, text: str) -> "FixedLocusSummary":
         """Read what to_json writes: v three ints, n an order, strata a
-        list, each euler and the total an int; anything else, a float or
-        a bool included, is a ValueError."""
+        list of colength-n coprofiles, each euler and the total an int,
+        the total their sum; anything else, a float or a bool included, is
+        a ValueError."""
         v, n, strata, total = _json_fields(json.loads(text), "v", "n", "strata", "total")
-        if type(strata) is not list:
-            raise ValueError(f"strata must be a list, got {strata!r}")
         records = [
             StratumRecord(Coprofile.from_jsonable(cop), euler)
-            for cop, euler in (_json_fields(s, "coprofile", "euler") for s in strata)
+            for cop, euler in (
+                _json_fields(s, "coprofile", "euler")
+                for s in _json_list(strata, "strata")
+            )
         ]
-        if any(type(x) is not int for x in [total] + [r.euler for r in records]):
+        eulers = [r.euler for r in records]
+        if any(type(x) is not int for x in [total] + eulers):
             raise ValueError("euler and total must be ints")
-        return cls(_int_triple(v), _series_order(n), records, total)
+        n = _series_order(n)
+        if total != sum(eulers) or any(r.coprofile.n != n for r in records):
+            raise ValueError("strata must have colength n and total their euler sum")
+        return cls(_int_triple(v), n, records, total)
 
 
 def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSummary:

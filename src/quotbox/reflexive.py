@@ -37,6 +37,12 @@ from dataclasses import dataclass
 from .partitions import MonomialIdeal
 from .series import _box_triple, _int_triple
 
+__all__ = [
+    "DimCheckReport", "FiberDescription", "MultMap", "ReflexiveParams",
+    "check_cosection_quotient", "check_resolution_dims", "fiber", "fiber_dim",
+    "mult_matrix", "sing_ideal",
+]
+
 Weight = tuple[int, int, int]
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -245,23 +251,14 @@ class DimCheckReport:
 
     @property
     def first_mismatch(self) -> DimCheckEntry | None:
-        for e in self.entries:
-            if not e.ok:
-                return e
-        return None
+        return next((e for e in self.entries if not e.ok), None)
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "weight": list(e.weight),
-                    "lhs_dim": e.lhs_dim,
-                    "rhs_dim": e.rhs_dim,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ]
-        )
+        return json.dumps([
+            {"weight": list(e.weight), "lhs_dim": e.lhs_dim, "rhs_dim": e.rhs_dim,
+             "ok": e.ok}
+            for e in self.entries
+        ])
 
 
 def check_cosection_quotient(v, window) -> DimCheckReport:

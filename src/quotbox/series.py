@@ -27,6 +27,8 @@ import json
 import re
 from dataclasses import dataclass
 
+__all__ = ["TruncatedSeries", "box_product", "macmahon", "quot_closed_form"]
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -179,25 +181,18 @@ class TruncatedSeries:
         strings or ints; anything else, a float or a bool included, is a
         ValueError rather than a truncated value."""
         order, coeffs = _json_fields(json.loads(text), "order", "coeffs")
-        if type(coeffs) is not list:
-            raise ValueError(f"coeffs must be a list, got {coeffs!r}")
         coeffs = [
             int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
-            for c in coeffs
+            for c in _json_list(coeffs, "coeffs")
         ]
         return cls(order, coeffs)
 
     def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append(f"{c}*q")
-            else:
-                terms.append(f"{c}*q^{n}")
+        terms = [
+            str(c) if n == 0 else f"{c}*q" if n == 1 else f"{c}*q^{n}"
+            for n, c in enumerate(self.coeffs)
+            if c
+        ]
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(q^{self.order + 1})"
 
@@ -246,6 +241,14 @@ def _json_fields(data, *keys) -> list:
     if type(data) is not dict or not data.keys() >= set(keys):
         raise ValueError(f"expected an object with keys {keys}, got {data!r}")
     return [data[k] for k in keys]
+
+
+def _json_list(value, what: str) -> list:
+    """value when it is a decoded JSON list; anything else is a
+    ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _int_triple(t) -> tuple[int, int, int]:

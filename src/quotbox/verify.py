@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .partitions import (
     PLANE_PARTITION_GUARD,
@@ -35,6 +35,11 @@ from .partitions import (
 from .quotfixed import COLENGTH_GUARD, quot_series
 from .reflexive import ReflexiveParams
 from .series import _json_fields, box_product, macmahon, quot_closed_form
+
+__all__ = [
+    "VerificationReport", "verify_hilb_counts", "verify_product_formula",
+    "verify_rank2_free", "verify_stanley",
+]
 
 
 @dataclass
@@ -54,23 +59,16 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "claim": self.claim,
-                "params": self.params,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "status": self.status,
-                "first_mismatch": self.first_mismatch,
-                "wall_time": self.wall_time,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """Read what to_json writes: lhs and rhs must be lists of ints and
-        first_mismatch an int or null; a float or a bool there is a
-        ValueError rather than a truncated value."""
+        """Read what to_json writes: lhs and rhs must be lists of ints,
+        status "pass" or "fail", and first_mismatch the first index where
+        they differ (null when they agree, as on every pass); a float or a
+        bool there is a ValueError rather than a truncated value.  A "fail"
+        with equal lists stays legal, since a claim can fail an extra
+        check."""
         report = cls(*_json_fields(json.loads(text), *(f.name for f in fields(cls))))
         for key in ("lhs", "rhs"):
             values = getattr(report, key)
@@ -79,6 +77,10 @@ class VerificationReport:
         mism = report.first_mismatch
         if mism is not None and type(mism) is not int:
             raise ValueError(f"first_mismatch must be an int or null, got {mism!r}")
+        if mism != _first_diff(report.lhs, report.rhs):
+            raise ValueError(f"first_mismatch {mism!r} is not where lhs and rhs differ")
+        if report.status not in ("pass", "fail") or report.ok and mism is not None:
+            raise ValueError(f"bad status {report.status!r} at first_mismatch {mism!r}")
         return report
 
     def summary(self) -> str:
@@ -158,10 +160,7 @@ def verify_hilb_counts(v) -> VerificationReport:
     for ideal in enumerate_box_monomial_ideals(params.triple):
         by_colength[ideal.colength()] += 1
     boxes = count_box_partitions(params.triple)
-    extra_ok = (
-        by_colength[order] != 0
-        and by_colength == by_colength[::-1]
-    )
+    extra_ok = by_colength[order] != 0 and by_colength == by_colength[::-1]
     return _finish(
         "hilb", {"v": list(params.triple)}, by_colength, boxes, start, extra_ok
     )

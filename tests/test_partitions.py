@@ -104,6 +104,11 @@ def test_partition_serialization():
     assert triples == sorted(triples)
     assert PlanePartition.from_json(p.to_json()) == p
     assert json.loads(PlanePartition(()).to_json()) == []
+    assert PlanePartition.from_json("[]") == PlanePartition(())
+    # only a list of box triples is a partition document
+    for bad in ("5", "{}", '{"rows": []}', "[[1, 2]]", "[5]", "[[0, 0, 0.5]]"):
+        with pytest.raises(ValueError):
+            PlanePartition.from_json(bad)
 
 
 def test_count_box_small():
@@ -111,6 +116,27 @@ def test_count_box_small():
     assert count_box_partitions((2, 2, 2))[4] == 4
     with pytest.raises(ValueError):
         count_box_partitions((0, 1, 1))
+
+
+def test_box_walk_guard(monkeypatch):
+    # the guard reads the exact stack count, MacMahon's box formula, and
+    # raises before the walk starts
+    import quotbox.partitions as partitions
+
+    assert sum(count_box_partitions((3, 3, 3))) == 980
+    monkeypatch.setattr(partitions, "BOX_WALK_GUARD", 980)
+    assert sum(count_box_partitions((3, 3, 3))) == 980
+    monkeypatch.setattr(partitions, "BOX_WALK_GUARD", 979)
+
+    def no_walk(*args):
+        raise AssertionError("walked past the guard")
+
+    monkeypatch.setattr(partitions, "_stacks", no_walk)
+    with pytest.raises(GuardExceeded):
+        count_box_partitions((3, 3, 3))
+    monkeypatch.undo()
+    with pytest.raises(GuardExceeded):
+        count_box_partitions((5, 5, 5))
 
 
 def test_count_box_matches_golden():
@@ -246,6 +272,14 @@ def test_ideal_serialization():
     assert again == ideal
     bare = MonomialIdeal(((0, 0, 0),))
     assert MonomialIdeal.from_json(bare.to_json()) == bare
+    # malformed documents are a ValueError, whatever is wrong with them
+    for bad in (
+        "[1]", "{}", "5", '{"generators": 5}', '{"generators": [5]}',
+        '{"generators": [[0, 0]]}', '{"generators": [], "box": null}',
+        '{"generators": [], "box": 5}', '{"generators": [], "box": [2, 2]}',
+    ):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_json(bad)
 
 
 def test_enumerate_box_ideals():

@@ -482,6 +482,13 @@ def test_summary_structure_and_json():
         ("strata", [{"coprofile": []}]),
         ("strata", [[[], 1]]),
         ("strata", "[]"),
+        # a coprofile that is not a list of [weight, drop] pairs
+        ("strata", [{"coprofile": [[1, 2]], "euler": 3}]),
+        ("strata", [{"coprofile": 5, "euler": 3}]),
+        ("strata", [{"coprofile": [5], "euler": 3}]),
+        # derived fields: the total is the euler sum, every stratum has colength n
+        ("total", 4),
+        ("strata", [{"coprofile": [[[0, 1, 1], 2]], "euler": 3}]),
     ]:
         with pytest.raises(ValueError):
             FixedLocusSummary.from_json(json.dumps(dict(data, **{key: bad})))

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -269,3 +270,60 @@ def test_cli_random_argv_never_raises(capsys):
         code = cli_main(argv)
         assert code in (0, 1, 2), argv
     capsys.readouterr()
+
+
+def test_report_reader_checks_derived_fields():
+    # status is pass or fail, first_mismatch is where lhs and rhs first
+    # differ, and a pass has none; a fail with equal lists stays legal,
+    # since hilb can fail its palindrome check
+    base = json.loads(verify_product_formula((1, 1, 1), 2).to_json())
+    for change in [
+        {"lhs": [1], "rhs": [2]},
+        {"lhs": [1], "rhs": [2], "first_mismatch": 0},
+        {"status": "ok"},
+        {"status": "FAIL"},
+        {"status": "fail", "first_mismatch": 0},
+        {"lhs": [1, 2], "rhs": [1, 3], "status": "fail", "first_mismatch": 0},
+        {"lhs": [1, 2], "rhs": [1], "status": "fail", "first_mismatch": None},
+    ]:
+        with pytest.raises(ValueError):
+            VerificationReport.from_json(json.dumps(dict(base, **change)))
+    for change in [
+        {"status": "fail"},
+        {"lhs": [1, 2], "rhs": [1, 3], "status": "fail", "first_mismatch": 1},
+        {"lhs": [1, 2], "rhs": [1], "status": "fail", "first_mismatch": 1},
+    ]:
+        report = VerificationReport.from_json(json.dumps(dict(base, **change)))
+        assert not report.ok
+
+
+def test_stanley_box_walk_guard(monkeypatch, capsys):
+    # (5, 5, 5) holds 267,227,532 partitions: the claim raises before the
+    # walk starts, and the CLI reports the guard with exit 1
+    import quotbox.partitions as partitions
+
+    def no_walk(*args):
+        raise AssertionError("walked past the guard")
+
+    monkeypatch.setattr(partitions, "_stacks", no_walk)
+    with pytest.raises(partitions.GuardExceeded):
+        verify_stanley((5, 5, 5))
+    assert cli_main(["verify", "stanley", "--v", "5", "5", "5"]) == 1
+    assert "guard exceeded" in capsys.readouterr().err
+
+
+def test_readme_commands_exit_zero(tmp_path, capsys):
+    # every command of the README's command-line block runs and exits 0
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("quotbox ")]
+    commands = [shlex.split(line) for line in lines]
+    assert len(commands) >= 10
+    for argv in commands:
+        argv = argv[1:]
+        if "--json" in argv:
+            i = argv.index("--json") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert cli_main(argv) == 0, argv
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
