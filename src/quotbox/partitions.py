@@ -207,6 +207,14 @@ def enumerate_plane_partitions(
     return sorted(found, key=lambda p: p.rows)
 
 
+def _box_count(v1: int, v2: int, v3: int) -> int:
+    """MacMahon's count of plane partitions in a v1 x v2 x v3 box,
+    prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k)."""
+    # the product telescopes in k to prod (i+j+v3-1)/(i+j-1), an exact quotient
+    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+    return math.prod(h + v3 for h in hooks) // math.prod(hooks)
+
+
 def count_box_partitions(v) -> list[int]:
     """Plane partitions inside a v1 x v2 x v3 box, counted by size.
 
@@ -219,9 +227,7 @@ def count_box_partitions(v) -> list[int]:
     BOX_WALK_GUARD it raises GuardExceeded before any work.
     """
     v1, v2, v3 = _box_triple(v)
-    # the product telescopes in k to prod (i+j+v3-1)/(i+j-1), an exact quotient
-    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
-    stacks = math.prod(h + v3 for h in hooks) // math.prod(hooks)
+    stacks = _box_count(v1, v2, v3)
     if stacks > BOX_WALK_GUARD:
         raise GuardExceeded(f"box walk of {stacks} stacks, guard is {BOX_WALK_GUARD}")
     volume = v1 * v2 * v3
@@ -411,13 +417,17 @@ def enumerate_box_monomial_ideals(v, guard: int = 1 << 16) -> list[MonomialIdeal
     """All monomial ideals of the box quotient ring, via antichains.
 
     Enumerates antichains in the box poset directly, one ideal per
-    antichain (the empty antichain is the zero ideal).  Guarded by the
-    number of box cells: 2^cells is a crude ceiling on the search.
+    antichain (the empty antichain is the zero ideal).  The search is a
+    tree of depth cells whose every node has a leaf, one ideal, below it,
+    so it visits at most (cells + 1) * ideals nodes, with the ideals
+    counted by MacMahon's formula; above guard it raises GuardExceeded
+    before any work.
     """
     v1, v2, v3 = _box_triple(v)
     cells = sorted(itertools.product(range(v1), range(v2), range(v3)))
-    if 2 ** len(cells) > guard:
-        raise GuardExceeded(f"antichain search over {len(cells)} cells exceeds guard")
+    nodes = (len(cells) + 1) * _box_count(v1, v2, v3)
+    if nodes > guard:
+        raise GuardExceeded(f"antichain search of up to {nodes} nodes, guard is {guard}")
     out: list[MonomialIdeal] = []
 
     def comparable(a, b):

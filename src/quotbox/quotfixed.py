@@ -35,7 +35,8 @@ when (w, c) is added, and an infeasible pair is cut with its subtree;
 every lex-order prefix of a consistent stratum is consistent, so the
 search visits exactly the consistent strata.  A child's candidates are
 its parent's after the weight added, with that weight's successors
-merged in (``_frontier``); a per-weight predecessor table feeds
+merged in (``_frontier``); a per-weight fiber table, read off
+``ReflexiveParams.dim_at`` and ``image_line`` alone, feeds
 ``_target_rule``; and the branch's links and forced lines live in
 ``_Components``, a union-find with undo that counts the unforced
 components and notes a clash, so each node's Euler characteristic is
@@ -67,11 +68,11 @@ import bisect
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 from .partitions import GuardExceeded
-from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix
+# bound here for perfbench/spans.TARGETS, which tests/test_bench_bindings.py checks
+from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix  # noqa: F401
 from .series import (
     TruncatedSeries, _int_triple, _json_fields, _json_list, _series_order,
 )
@@ -86,17 +87,6 @@ __all__ = [
 Point = tuple[int, int]
 
 COLENGTH_GUARD = 5  # default colength bound of every stratum search
-
-
-def _normalize_point(x: int, y: int) -> Point:
-    """Primitive representative of [x : y], first nonzero entry positive."""
-    if x == 0 and y == 0:
-        raise ValueError("(0, 0) does not define a projective point")
-    g = math.gcd(abs(x), abs(y))
-    x, y = x // g, y // g
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return (x, y)
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def _unpack(x: int, base: int) -> Weight:
 
 def _fiber_tables(params: ReflexiveParams, order: int):
     """The packing base B of a search to this order, and the memoized
-    fiber dimension and predecessor table of a packed weight.
+    fiber table of a packed weight.
 
     The search keys w as x = (w1*B + w2)*B + w3, exact and in lex order
     while w2, w3 < B; then x + 1, x + B, x + B^2 are its successors and
@@ -159,32 +149,37 @@ def _fiber_tables(params: ReflexiveParams, order: int):
     order - 2 steps above a generator weight, so B = max(v) + order (and
     at least max(v) + 1) is above every coordinate it reads.
 
-    preds(x) holds one (x - e_k, its fiber dimension, image line) for
-    each k whose predecessor fiber is nonzero.  The image line is the
-    normalized line that x_k carries that fiber to when it is
-    1-dimensional and the fiber at x is 2-dimensional, else None.
+    table(x) is (fiber dimension at x, predecessors), the predecessors
+    one (x - e_k, its fiber dimension, image line) for each k whose
+    predecessor fiber is nonzero.  The image line is the line that x_k
+    carries that fiber to when it is 1-dimensional and the fiber at x is
+    2-dimensional, else None.  The table reads the module only through
+    ``ReflexiveParams.dim_at``, once per weight decoded by two divmods,
+    and ``image_line``.
     """
     base = max(params) + max(order, 1)
+    layer = base * base
+    dim_at = params.dim_at
+    lines = [params.image_line(k) for k in (1, 2, 3)]
 
     @functools.cache
     def dim(x: int) -> int:
-        return fiber_dim(params, _unpack(x, base))
+        w1, r = divmod(x, layer)
+        w2, w3 = divmod(r, base)
+        return dim_at(w1, w2, w3)
 
     @functools.cache
-    def preds(x: int):
-        w = _unpack(x, base)
-        out = []
-        for k, step in enumerate((base * base, base, 1), 1):
-            if not w[k - 1] or not (ds := dim(xs := x - step)):
-                continue
-            image = None
-            if ds == 1 and dim(x) == 2:
-                (a,), (b,) = mult_matrix(params, _unpack(xs, base), k).matrix
-                image = _normalize_point(a, b)
-            out.append((xs, ds, image))
-        return tuple(out)
+    def table(x: int):
+        w1, r = divmod(x, layer)
+        w2, w3 = divmod(r, base)
+        d = dim(x)
+        preds = []
+        for wk, step, line in zip((w1, w2, w3), (layer, base, 1), lines):
+            if wk and (ds := dim(x - step)):
+                preds.append((x - step, ds, line if ds == 1 and d == 2 else None))
+        return d, tuple(preds)
 
-    return base, dim, preds
+    return base, table
 
 
 def _frontier(cands: list[int], i: int, base: int) -> list[int]:
@@ -260,7 +255,7 @@ class ConstraintSystem:
 def _target_rule(preds, free_t: int, drops: dict[Weight, int]):
     """Decide the conditions x_k F_{w - e_k} <= F_w for one target w.
 
-    preds is the predecessor table of w and free_t = dim(w) - drop(w).
+    preds is the predecessor list of w and free_t = dim(w) - drop(w).
     Every multiplication map has rank equal to its source dimension, so
     only dimensions decide the outcome: a full 1-dimensional source forces
     a free target line to its image, a free line source links to a free
@@ -297,7 +292,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     """
     params = ReflexiveParams.of(v)
     # a base for "order" M is above M, the largest coordinate of the profile
-    base, dim, preds = _fiber_tables(params, max(sum(profile.support, (0,))))
+    base, table = _fiber_tables(params, max(sum(profile.support, (0,))))
     drops = {_pack(w, base): c for w, c in profile.entries}
     variables = []
     fixed: dict[Weight, Point] = {}
@@ -305,7 +300,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     infeasible = False
 
     for w, c in profile.entries:
-        d = dim(_pack(w, base))
+        d, _ = table(_pack(w, base))
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
         if d == 2 and c == 1:
@@ -313,7 +308,8 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
 
     for wt, ct in profile.entries:
         xt = _pack(wt, base)
-        forced, sources, bad = _target_rule(preds(xt), dim(xt) - ct, drops)
+        d, preds = table(xt)
+        forced, sources, bad = _target_rule(preds, d - ct, drops)
         if forced is not None:
             fixed[wt] = forced
         links.extend((_unpack(xs, base), wt) for xs in sources)
@@ -397,7 +393,7 @@ def _consistent_strata(params: ReflexiveParams, order: int):
     decided by ``_target_rule`` the moment it is added (see the module
     docstring).  No ``Coprofile`` is built: the entries are already valid.
     """
-    base, dim, preds = _fiber_tables(params, order)
+    base, table = _fiber_tables(params, order)
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
     drops: dict[int, int] = {}  # the branch's entries, keyed packed
@@ -408,11 +404,10 @@ def _consistent_strata(params: ReflexiveParams, order: int):
         if not remaining:
             return
         for i, x in enumerate(cands):
-            d = dim(x)
-            table = preds(x)
+            d, preds = table(x)
             after = None
             for c in range(1, min(d, remaining) + 1):
-                forced, sources, infeasible = _target_rule(table, d - c, drops)
+                forced, sources, infeasible = _target_rule(preds, d - c, drops)
                 if infeasible:
                     continue
                 if after is None and c < remaining:
@@ -458,7 +453,7 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
     clash is skipped, because the Euler characteristic is 0 on its whole
     subtree.
     """
-    base, dim, preds = _fiber_tables(params, order)
+    base, table = _fiber_tables(params, order)
     layer_size = base * base
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
@@ -474,11 +469,10 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
         in the parent's layer, len(path) for one in a later layer."""
         for i in range(lo, hi):
             x = cands[i]
-            d = dim(x)
-            table = preds(x)
+            d, preds = table(x)
             after = None
             for c in range(1, min(d, remaining) + 1):
-                forced, sources, infeasible = _target_rule(table, d - c, drops)
+                forced, sources, infeasible = _target_rule(preds, d - c, drops)
                 if infeasible:
                     continue
                 merges = None

@@ -46,6 +46,7 @@ __all__ = [
 Weight = tuple[int, int, int]
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_IMAGE_LINES = {1: (1, 1), 2: (0, 1), 3: (1, 0)}
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,20 @@ class ReflexiveParams:
             (0, self.v2, self.v3),
         )
 
+    def dim_at(self, w1: int, w2: int, w3: int) -> int:
+        """Fiber dimension at w, unchecked: w >= g_i when w passes v in
+        the two coordinates where g_i is nonzero, so passing v in 0 .. 3
+        coordinates gives dimension max(passes - 1, 0)."""
+        return (0, 0, 1, 2)[(w1 >= self.v1) + (w2 >= self.v2) + (w3 >= self.v3)]
+
+    @staticmethod
+    def image_line(k: int) -> tuple[int, int]:
+        """The line, as a normalized point in the basis (class of e1, class
+        of e2), onto which x_k carries a 1-dimensional fiber stepping into
+        the cone w >= v: that fiber is spanned by e_(4-k), and the class of
+        e3 is (-1, -1)."""
+        return _IMAGE_LINES[k]
+
 
 def _dominates(w: Weight, u: Weight) -> bool:
     return w[0] >= u[0] and w[1] >= u[1] and w[2] >= u[2]
@@ -123,11 +138,8 @@ def fiber(v, w) -> FiberDescription:
 
 
 def fiber_dim(v, w) -> int:
-    """Dimension of the fiber at w, without building basis data: w >= g_i
-    when w passes v in the two coordinates where g_i is nonzero."""
-    v1, v2, v3 = ReflexiveParams.of(v)
-    w1, w2, w3 = _int_triple(w)
-    return max((w1 >= v1) + (w2 >= v2) + (w3 >= v3) - 1, 0)
+    """Dimension of the fiber at w, without building basis data."""
+    return ReflexiveParams.of(v).dim_at(*_int_triple(w))
 
 
 def _coords_in_basis(fd: FiberDescription, vec: tuple[int, int, int]):

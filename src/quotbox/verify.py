@@ -84,13 +84,13 @@ class VerificationReport:
         return report
 
     def summary(self) -> str:
+        """One line; at a mismatch past the end of one side, that side
+        reads -."""
         line = f"claim={self.claim} params={self.params} status={self.status.upper()}"
-        if self.first_mismatch is not None:
-            line += (
-                f" first_mismatch=n{self.first_mismatch}"
-                f" lhs={self.lhs[self.first_mismatch]}"
-                f" rhs={self.rhs[self.first_mismatch]}"
-            )
+        i = self.first_mismatch
+        if i is not None:
+            lhs, rhs = (s[i] if i < len(s) else "-" for s in (self.lhs, self.rhs))
+            line += f" first_mismatch=n{i} lhs={lhs} rhs={rhs}"
         return line + f" wall_time={self.wall_time:.3f}s"
 
 

@@ -6,6 +6,8 @@ must occur exactly once) and runs as a fresh module, registered in
 ``verify_product_formula``: the engine series against the closed form.
 It must pass on the mutant at order - 1 and fail at the listed order,
 with the first mismatch at that coefficient, and without an exception.
+The image-line mutant patches the module interface,
+``ReflexiveParams.image_line``, instead of the source.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import pytest
 
 import quotbox.quotfixed
 import quotbox.verify
+from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
 
 with open(quotbox.quotfixed.__file__) as fh:
@@ -77,3 +80,17 @@ def test_unmutated_source_passes_the_claim(monkeypatch):
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
         for _, _, v, order in MUTANTS.values():
             assert verify_product_formula(v, order, guard=order).ok
+
+
+@pytest.mark.parametrize("v, order", [((1, 1, 1), 2), ((3, 2, 1), 2), ((2, 2, 2), 3)])
+def test_product_claim_rejects_shared_image_line(v, order, monkeypatch):
+    # x_1 and x_2 carry their 1-dimensional fibers onto one line.  A
+    # permutation of the three lines would pass at every order: PGL2 acts
+    # 3-transitively on P^1, so the Euler characteristic depends only on
+    # which lines coincide, and only test_image_line_matches_mult_matrix
+    # pins the lines themselves.
+    lines = {1: (1, 1), 2: (1, 1), 3: (1, 0)}
+    monkeypatch.setattr(ReflexiveParams, "image_line", staticmethod(lines.__getitem__))
+    assert verify_product_formula(v, order - 1).ok
+    report = verify_product_formula(v, order)
+    assert report.status == "fail" and report.first_mismatch == order

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import math
 
 import pytest
 
@@ -133,6 +135,29 @@ def test_mult_matrix_identity_links():
                     assert mm.matrix == ((1, 0), (0, 1))
                 elif mm.source_dim == 1 and mm.target_dim == 2:
                     assert mm.matrix in (((1,), (0,)), ((0,), (1,)), ((-1,), (-1,)))
+
+
+def normalized(x, y):
+    """Primitive representative of [x : y], first nonzero entry positive."""
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    return (-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y)
+
+
+def test_image_line_matches_mult_matrix():
+    # the module interface against the slow route: every step from a
+    # 1-dimensional fiber into a 2-dimensional one lands on image_line(k)
+    steps = collections.Counter()
+    for v in GRID:
+        params = ReflexiveParams.of(v)
+        for w in window(6):
+            for k in (1, 2, 3):
+                mm = mult_matrix(v, w, k)
+                if mm.source_dim == 1 and mm.target_dim == 2:
+                    (a,), (b,) = mm.matrix
+                    assert params.image_line(k) == normalized(a, b)
+                    steps[k] += 1
+    assert all(steps[k] for k in (1, 2, 3))
 
 
 def test_mult_matrix_examples():

@@ -100,6 +100,17 @@ def test_failing_report_shape():
     assert "lhs=3" in failing.summary() and "rhs=4" in failing.summary()
 
 
+def test_summary_of_unequal_lengths():
+    # from_json accepts lists of different lengths; the side that has
+    # ended reads - at the mismatch
+    for lhs, rhs, expected in [([1, 2], [1], "lhs=2 rhs=-"), ([1], [1, 2], "lhs=- rhs=2")]:
+        report = VerificationReport.from_json(json.dumps({
+            "claim": "synthetic", "params": {}, "lhs": lhs, "rhs": rhs,
+            "status": "fail", "first_mismatch": 1, "wall_time": 0.0,
+        }))
+        assert f"first_mismatch=n1 {expected} " in report.summary()
+
+
 def test_cli_series_output(capsys):
     assert cli_main(["series", "macmahon", "--order", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1 1 3 6 13 24"
@@ -176,6 +187,15 @@ def test_cli_verify_pass_and_json(tmp_path, capsys):
     assert cli_main(["verify", "hilb", "--v", "2", "2", "1"]) == 0
     assert cli_main(["verify", "rank2free", "--order", "4"]) == 0
     capsys.readouterr()
+
+
+def test_cli_hilb_guard_bounds_the_search(capsys):
+    # the default guard bounds the nodes of the antichain search, at most
+    # (cells + 1) * ideals: 19 * 175 for (3,3,2), 37 * 4,116 for (3,3,4)
+    assert cli_main(["verify", "hilb", "--v", "3", "3", "2"]) == 0
+    assert "status=PASS" in capsys.readouterr().out
+    assert cli_main(["verify", "hilb", "--v", "3", "3", "4"]) == 1
+    assert "152292 nodes" in capsys.readouterr().err
 
 
 def test_cli_verify_failure_exit(monkeypatch, capsys):
