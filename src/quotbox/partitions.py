@@ -51,6 +51,8 @@ __all__ = [
 
 PLANE_PARTITION_GUARD = 12  # default size bound of plane partition walks
 BOX_WALK_GUARD = 1_000_000  # bound on the stacks one box walk visits
+DP_STATE_GUARD = 10_000_000  # bound on the row states of the box DP
+ANTICHAIN_GUARD = 1 << 16  # bound on the nodes of the antichain search
 
 
 class GuardExceeded(RuntimeError):
@@ -234,13 +236,13 @@ def count_box_partitions(v) -> list[int]:
     return _counts_by_total(_stacks((v3,) * v2, volume, v1), volume)
 
 
-def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSeries:
+def box_partition_polynomial_dp(v) -> TruncatedSeries:
     """Size generating polynomial of box-bounded plane partitions via DP.
 
     States are weakly decreasing tuples of length v2 with entries in
     [0, v3]; the DP walks the v1 rows, each row componentwise below the
     previous.  The state count is C(v2+v3, v2) and is checked against
-    state_guard before any state is generated.
+    DP_STATE_GUARD before any state is generated.
 
     One row step sends g to g'(s) = q^|s| * sum_{t >= s} g(t).  The sum
     over the up-set is taken by suffix sums over coordinates
@@ -256,9 +258,9 @@ def box_partition_polynomial_dp(v, state_guard: int = 10_000_000) -> TruncatedSe
     """
     v1, v2, v3 = _box_triple(v)
     nstates = math.comb(v2 + v3, v2)
-    if nstates > state_guard:
+    if nstates > DP_STATE_GUARD:
         raise GuardExceeded(
-            f"DP would need {nstates} states, guard is {state_guard}"
+            f"DP would need {nstates} states, guard is {DP_STATE_GUARD}"
         )
     states = []
 
@@ -413,21 +415,23 @@ def monomial_ideal_to_partition(ideal: MonomialIdeal) -> PlanePartition:
     return PlanePartition.from_boxes(ideal.staircase())
 
 
-def enumerate_box_monomial_ideals(v, guard: int = 1 << 16) -> list[MonomialIdeal]:
+def enumerate_box_monomial_ideals(v) -> list[MonomialIdeal]:
     """All monomial ideals of the box quotient ring, via antichains.
 
     Enumerates antichains in the box poset directly, one ideal per
     antichain (the empty antichain is the zero ideal).  The search is a
     tree of depth cells whose every node has a leaf, one ideal, below it,
     so it visits at most (cells + 1) * ideals nodes, with the ideals
-    counted by MacMahon's formula; above guard it raises GuardExceeded
-    before any work.
+    counted by MacMahon's formula; above ANTICHAIN_GUARD it raises
+    GuardExceeded before any work.
     """
     v1, v2, v3 = _box_triple(v)
     cells = sorted(itertools.product(range(v1), range(v2), range(v3)))
     nodes = (len(cells) + 1) * _box_count(v1, v2, v3)
-    if nodes > guard:
-        raise GuardExceeded(f"antichain search of up to {nodes} nodes, guard is {guard}")
+    if nodes > ANTICHAIN_GUARD:
+        raise GuardExceeded(
+            f"antichain search of up to {nodes} nodes, guard is {ANTICHAIN_GUARD}"
+        )
     out: list[MonomialIdeal] = []
 
     def comparable(a, b):

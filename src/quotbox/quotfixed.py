@@ -27,39 +27,37 @@ variables into components, a component forced to two different lines
 makes the stratum empty, and otherwise every unforced component is a free
 P^1, so the Euler characteristic is 0 or 2^(free components).
 
-Two routes read the strata.  ``_consistent_strata`` is one depth-first
-search that adds (weight, drop) pairs in increasing lex order of weight,
-every colength up to the order at once.  The conditions with target w
-read only the drops at w - e_k, earlier in lex order, so they are decided
-when (w, c) is added, and an infeasible pair is cut with its subtree;
-every lex-order prefix of a consistent stratum is consistent, so the
-search visits exactly the consistent strata.  A child's candidates are
-its parent's after the weight added, with that weight's successors
-merged in (``_frontier``); a per-weight fiber table, read off
+One walk reads the strata, ``_layer_transfer``: a depth-first search
+that adds (weight, drop) pairs in increasing lex order of weight, every
+colength up to the order at once.  The conditions with target w read
+only the drops at w - e_k, earlier in lex order, so they are decided when
+(w, c) is added, and an infeasible pair is cut with its subtree; every
+lex-order prefix of a consistent stratum is consistent, so the walk
+visits exactly the consistent strata.  A child's candidates are its
+parent's after the weight added, with that weight's successors merged in
+(``_frontier``); a per-weight fiber table, read off
 ``ReflexiveParams.dim_at`` and ``image_line`` alone, feeds
 ``_target_rule``; and the branch's links and forced lines live in
 ``_Components``, a union-find with undo that counts the unforced
 components and notes a clash, so each node's Euler characteristic is
-known without a constraint system.  The search keys weights as packed
-ints (see ``_fiber_tables``), so lex order is integer order and an
-x1-layer an integer range.  ``fixed_locus_summary`` lists its nodes.
+known without a constraint system.  Weights are keyed as packed ints
+(see ``_fiber_tables``), so lex order is integer order and an x1-layer
+an integer range.
 
-``quot_series`` (and so ``quot_fixed_euler``) runs ``_layer_transfer``
-instead: the same search, memoised at x1-layer boundaries (a tail past
-layer a sees only the layer-a entries, their components and those
-components' forced lines).  It runs on v sorted descending, so the
-layers cut the longest side: permuting coordinates is a torus-equivariant
-isomorphism R0(v) = R0(sigma v), and that orientation needed the fewest
-rule checks of all six on every triple measured.  The summary's total
-against ``quot_fixed_euler`` checks the two routes against each other.
+``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
+x1-layer boundaries, on v sorted descending so that the layers cut the
+longest side: permuting coordinates is a torus-equivariant isomorphism
+R0(v) = R0(sigma v), and that orientation needed the fewest rule checks
+of all six on every triple measured.  ``fixed_locus_summary`` lists the
+nodes of the same walk with the memo off, on the caller's v, so its
+total against ``quot_fixed_euler`` checks the memo and the orientation.
 
 The tests' reference lists every coprofile of one colength with
 ``enumerate_coprofiles``, the set closure of the reachability rule,
-sharing no code with the search; ``profile_constraint_system`` and
-``stratum_euler`` build and evaluate one coprofile's system, and the
-tests' field oracle recounts it over prime fields.  Everything is exact
-integer arithmetic; enumeration and search depth are guarded at colength
-``COLENGTH_GUARD`` unless the guard is raised.
+sharing no code with the walk, and builds each one's system with
+``profile_constraint_system``; the tests' field oracle recounts it over
+prime fields.  Everything is exact integer arithmetic, and enumeration
+and walk depth are guarded at colength ``COLENGTH_GUARD``.
 """
 
 from __future__ import annotations
@@ -205,7 +203,7 @@ def _check_order(order, guard: int) -> None:
 def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofile]:
     """All coprofiles of total drop n for the module attached to v, sorted
     by entries and read off the definition; no code is shared with the
-    search.
+    walk.
 
     The supports are the set closure of the reachability rule: starting
     from the empty support, n times add a generator weight or a successor
@@ -331,7 +329,7 @@ class _Components:
     is its own parent), and each root keeps in line the line its component
     is forced to, or None.  A branch's Euler characteristic is 0 once some
     component is forced to two different lines (a clash), and otherwise
-    2^(unforced components); both routes carry that count and flag along
+    2^(unforced components); the walk carries that count and flag along
     with the structure.
     """
 
@@ -382,76 +380,32 @@ class _Components:
         del parent[w], size[w], line[w]
 
 
-def _consistent_strata(params: ReflexiveParams, order: int):
-    """Every stratum of total drop <= order whose constraint system is not
-    infeasible, as (entries, drop total, Euler characteristic), one per
-    search node, in pre-order, which is lex order of the entries.
-
-    The root's candidates are the generator weights and a child's those
-    of ``_frontier``, the weights the reachability rule allows; each takes
-    a drop 1 <= c <= min(fiber dimension, remaining drop), and a pair is
-    decided by ``_target_rule`` the moment it is added (see the module
-    docstring).  No ``Coprofile`` is built: the entries are already valid.
-    """
-    base, table = _fiber_tables(params, order)
-    comps = _Components()
-    add_variable, remove_variable = comps.add_variable, comps.remove_variable
-    drops: dict[int, int] = {}  # the branch's entries, keyed packed
-    entries: list[tuple[Weight, int]] = []  # the same, decoded
-
-    def grow(cands, remaining, free, clash):
-        yield tuple(entries), order - remaining, 0 if clash else 1 << free
-        if not remaining:
-            return
-        for i, x in enumerate(cands):
-            d, preds = table(x)
-            after = None
-            for c in range(1, min(d, remaining) + 1):
-                forced, sources, infeasible = _target_rule(preds, d - c, drops)
-                if infeasible:
-                    continue
-                if after is None and c < remaining:
-                    after = _frontier(cands, i, base)
-                drops[x] = c
-                entries.append((_unpack(x, base), c))
-                if d == 2 and c == 1:
-                    merges, f, cl = add_variable(x, forced, sources, free, clash)
-                    yield from grow(after, remaining - c, f, cl)
-                    remove_variable(x, merges)
-                else:
-                    yield from grow(after, remaining - c, free, clash)
-                entries.pop()
-                del drops[x]
-
-    try:
-        gens = sorted(_pack(g, base) for g in params.generator_weights())
-        yield from grow(gens, order, 0, False)
-    finally:
-        # grow reaches itself through its cell: free its tables now
-        del grow
-
-
-def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
+def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int]:
     """Coefficients 0 .. order of the sum of Euler characteristic * q^drop
-    over the consistent strata: the search of ``_consistent_strata``,
-    memoised at x1-layer boundaries.
+    over the consistent strata, by the walk of the module docstring: a
+    node's candidates take each drop 1 <= c <= min(fiber dimension,
+    remaining drop), decided by ``_target_rule`` the moment it is added.
 
     Weights are added in lex order, so once a later x1-layer is entered
     layer a is final.  The children of a node whose last weight lies in
     layer a split at the packed weight (a + 1) * B^2: those in layer a are
-    searched as before, and the later-layer tail sees of the branch only
-    the layer-a entries: its candidates are the generator weights past
-    layer a and the successors w + e1 of layer-a weights, its conditions
-    read drops in layer a at the earliest, and its links reach the
-    branch's components only through layer-a line variables.  So the tail
-    is memoised under the key (the layer-a entries, the components of
-    the layer-a line variables in canonical labels with each one's forced
+    walked in place, and the later-layer tail sees of the branch only the
+    layer-a entries: its candidates are the generator weights past layer
+    a and the successors w + e1 of layer-a weights, its conditions read
+    drops in layer a at the earliest, and its links reach the branch's
+    components only through layer-a line variables.  So the tail is
+    memoised under the key (the layer-a entries, the components of the
+    layer-a line variables in canonical labels with each one's forced
     line, remaining drop).  Its value is computed with the free count set
     to the open unforced components, those with a layer-a member; the
     others are closed, since no later link can reach them, and each shifts
     the caller's copy of the value by one power of 2.  A pair that makes a
     clash is skipped, because the Euler characteristic is 0 on its whole
-    subtree.
+    subtree, and a leaf adds 2^free without a node.
+
+    With visit, it lists the strata: visit(path, drop, chi) at each node
+    in pre-order (lex order of the entries, packed in path), the memo
+    off, clash pairs followed with chi = 0 and leaves made nodes.
     """
     base, table = _fiber_tables(params, order)
     layer_size = base * base
@@ -462,7 +416,7 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
     path: list[tuple[int, int]] = []  # the branch's entries, in order
     memo: dict[tuple, list[int]] = {}
 
-    def children(cands, lo, hi, start, remaining, free, out):
+    def children(cands, lo, hi, start, remaining, free, clash, out):
         """Add the series of the subtree of each child (w, c), w among
         cands[lo:hi], to out, shifted by c.  start is the index in path
         where the child's layer begins: the parent's own for a candidate
@@ -476,20 +430,20 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
                 if infeasible:
                     continue
                 merges = None
-                f = free
+                f, cl = free, clash
                 if d == 2 and c == 1:
-                    merges, f, clash = add_variable(x, forced, sources, free, False)
-                    if clash:
+                    merges, f, cl = add_variable(x, forced, sources, free, clash)
+                    if cl and not visit:
                         remove_variable(x, merges)
                         continue
-                if c == remaining:  # a leaf: no drop left for children
+                if c == remaining and not visit:  # a leaf: no drop left for children
                     out[c] += 1 << f
                 else:
-                    if after is None:
+                    if after is None and c < remaining:
                         after = _frontier(cands, i, base)
                     drops[x] = c
                     path.append((x, c))
-                    sub = node(after, start, remaining - c, f)
+                    sub = node(after, x, start, remaining - c, f, cl)
                     for k, s in enumerate(sub, c):
                         out[k] += s
                     path.pop()
@@ -497,16 +451,22 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
                 if merges is not None:
                     remove_variable(x, merges)
 
-    def node(cands, start, remaining, free):
-        """Series of the subtree of the node whose last entry is path[-1]
-        and whose last layer is path[start:], with drops counted from the
-        node's; free is its count of unforced components."""
+    def node(cands, last, start, remaining, free, clash):
+        """Series of the subtree of the node whose entries are path, whose
+        last weight is last (-1 at the root, before every layer) and whose
+        last layer is path[start:], with drops counted from the node's;
+        free and clash are its unforced components and clash flag."""
         out = [0] * (remaining + 1)
-        out[0] = 1 << free
-        a = path[-1][0] // layer_size
-        split = bisect.bisect_left(cands, (a + 1) * layer_size)
-        children(cands, 0, split, start, remaining, free, out)
-        if split == len(cands):
+        out[0] = 0 if clash else 1 << free
+        if visit:  # listing: no memo, so no layer split (start goes unread)
+            visit(path, order - remaining, out[0])
+            if remaining:
+                children(cands, 0, len(cands), start, remaining, free, clash, out)
+            return out
+        split = bisect.bisect_left(cands, (last // layer_size + 1) * layer_size)
+        hi = len(cands)
+        children(cands, 0, split, start, remaining, free, clash, out)
+        if split == hi:
             return out
         layer = tuple(path[start:])
         roots: dict[int, int] = {}
@@ -524,16 +484,15 @@ def _layer_transfer(params: ReflexiveParams, order: int) -> list[int]:
         tail = memo.get(key)
         if tail is None:
             tail = [0] * (remaining + 1)
-            children(cands, split, len(cands), len(path), remaining, open_free, tail)
+            children(cands, split, hi, len(path), remaining, open_free, False, tail)
             memo[key] = tail
         closed = free - open_free
         for k, x in enumerate(tail):
             out[k] += x << closed
         return out
 
-    out = [1] + [0] * order
     gens = sorted(_pack(g, base) for g in params.generator_weights())
-    children(gens, 0, len(gens), 0, order, 0, out)
+    out = node(gens, -1, 0, order, 0, False)
     # the two closures reach each other through their cells; unlinking
     # them frees the memo and the tables now, not at the next collection
     del children, node
@@ -592,11 +551,12 @@ class FixedLocusSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "FixedLocusSummary":
-        """Read what to_json writes: v three ints, n an order, strata a
-        list of colength-n coprofiles, each euler and the total an int,
-        the total their sum; anything else, a float or a bool included, is
-        a ValueError."""
+        """Read what to_json writes: v a box triple, n an order, strata a
+        list of colength-n coprofiles whose drops fit the fibers of v,
+        each euler and the total an int, the total their sum; anything
+        else, a float or a bool included, is a ValueError."""
         v, n, strata, total = _json_fields(json.loads(text), "v", "n", "strata", "total")
+        params = ReflexiveParams.of(v)
         records = [
             StratumRecord(Coprofile.from_jsonable(cop), euler)
             for cop, euler in (
@@ -610,23 +570,29 @@ class FixedLocusSummary:
         n = _series_order(n)
         if total != sum(eulers) or any(r.coprofile.n != n for r in records):
             raise ValueError("strata must have colength n and total their euler sum")
-        return cls(_int_triple(v), n, records, total)
+        if any(c > params.dim_at(*w) for r in records for w, c in r.coprofile.entries):
+            raise ValueError("a drop exceeds the fiber dimension of v")
+        return cls(params.triple, n, records, total)
 
 
 def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSummary:
     """Every consistent stratum of colength n and its Euler characteristic.
 
-    The strata are the nodes of the pruned search with drop exactly n, in
-    lex order of their entries.  A consistent stratum can still have
-    euler 0, when a linked component is forced to two lines.
+    The strata are the nodes of the walk with drop exactly n, in lex order
+    of their entries.  A consistent stratum can still have euler 0, when
+    a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
-    records = [
-        StratumRecord(Coprofile(entries), chi)
-        for entries, drop, chi in _consistent_strata(params, n)
-        if drop == n
-    ]
+    base, _ = _fiber_tables(params, n)
+    records = []
+
+    def visit(path, drop, chi):
+        if drop == n:
+            entries = [(_unpack(x, base), c) for x, c in path]
+            records.append(StratumRecord(Coprofile(entries), chi))
+
+    _layer_transfer(params, n, visit)
     return FixedLocusSummary(
         params.triple, n, records, sum(r.euler for r in records)
     )
@@ -640,10 +606,9 @@ def quot_fixed_euler(v, n: int, guard: int = COLENGTH_GUARD) -> int:
 def quot_series(v, order: int, guard: int = COLENGTH_GUARD) -> TruncatedSeries:
     """Generating series of fixed-locus Euler characteristics up to q^order.
 
-    One pruned search covers every colength n <= order: each consistent
-    stratum adds its Euler characteristic to coefficient n.  It runs on v
-    sorted descending, so the x1-layers cut the longest side; permuting
-    coordinates is a torus-equivariant isomorphism R0(v) = R0(sigma v).
+    One walk covers every colength n <= order: each consistent stratum
+    adds its Euler characteristic to coefficient n.  It runs on v sorted
+    descending, the orientation of the module docstring.
     """
     params = ReflexiveParams.of(v)
     _check_order(order, guard)

@@ -1,5 +1,7 @@
 import os
 
+from quotbox.quotfixed import _fiber_tables, _layer_transfer, _unpack
+
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # the triples the engine tests and acceptance criteria run on
@@ -34,4 +36,17 @@ def load_coeff_table(name):
         head, _, tail = line.partition("|")
         key = tuple(int(t) for t in head.split())
         out[key] = [int(t) for t in tail.split()]
+    return out
+
+
+def consistent_strata(params, order):
+    """The strata the engine's walk lists for params through order, as
+    (entries, drop, χ) in pre-order, the entries decoded to weights."""
+    base, _ = _fiber_tables(params, order)
+    out = []
+
+    def visit(path, drop, chi):
+        out.append((tuple((_unpack(x, base), c) for x, c in path), drop, chi))
+
+    _layer_transfer(params, order, visit)
     return out

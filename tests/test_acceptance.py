@@ -8,7 +8,7 @@ import collections
 import itertools
 import random
 
-from conftest import GRID
+from conftest import GRID, consistent_strata
 from field_oracle import stratum_euler_oracle_fp
 from quotbox.partitions import (
     box_partition_polynomial_dp,
@@ -21,7 +21,6 @@ from quotbox.partitions import (
 )
 from quotbox.quotfixed import (
     Coprofile,
-    _consistent_strata,
     profile_constraint_system,
     quot_fixed_euler,
     quot_series,
@@ -108,7 +107,7 @@ def test_criterion_7_field_oracle_agreement():
     failures = []
     strata = linked = 0
     for v in GRID:
-        for entries, _, chi in _consistent_strata(ReflexiveParams.of(v), 5):
+        for entries, _, chi in consistent_strata(ReflexiveParams.of(v), 5):
             cs = profile_constraint_system(v, Coprofile(entries))
             engine = stratum_euler(cs)
             oracle = stratum_euler_oracle_fp(cs)

@@ -1,13 +1,17 @@
-"""Mutants of the layer transfer, and the check that rejects each one.
+"""Mutants of the strata walk, and the check that rejects each one.
 
 Each mutant replaces one snippet of ``quotbox/quotfixed.py`` (the snippet
 must occur exactly once) and runs as a fresh module, registered in
-``sys.modules`` only while it runs.  The check is the ``product`` claim,
-``verify_product_formula``: the engine series against the closed form.
-It must pass on the mutant at order - 1 and fail at the listed order,
-with the first mismatch at that coefficient, and without an exception.
-The image-line mutant patches the module interface,
-``ReflexiveParams.image_line``, instead of the source.
+``sys.modules`` only while it runs.  For the mutants of the memoised
+walk the check is the ``product`` claim, ``verify_product_formula``: the
+engine series against the closed form.  It must pass on the mutant at
+order - 1 and fail at the listed order, with the first mismatch at that
+coefficient, and without an exception.  The image-line mutant patches the
+module interface, ``ReflexiveParams.image_line``, instead of the source.
+The mutants of the listing walk (the walk with a visitor) leave the
+series alone, so the ``product`` claim passes on them; the check that
+rejects each is ``test_listing_rejects_walk_mutant``, the summary at
+(1, 1, 1), n = 5 against the reference listing.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import pytest
 
 import quotbox.quotfixed
 import quotbox.verify
+from quotbox.quotfixed import enumerate_coprofiles, profile_constraint_system, stratum_euler
 from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
 
@@ -44,6 +49,24 @@ MUTANTS = {
     ),
 }
 
+# the listing walk's node: every child walked in place, no memo
+LISTING = (
+    "            if remaining:\n"
+    "                children(cands, 0, len(cands), start, remaining, free, clash, out)\n"
+    "            return out\n"
+)
+
+# label: (snippet, replacement) of the branches only a visitor takes
+WALK_MUTANTS = {
+    "visiting prunes clash pairs": ("if cl and not visit:", "if cl:"),
+    "visiting uses the memo": (LISTING, "            if not remaining:\n                return out\n"),
+    "a visited leaf reports its parent's chi": (
+        "sub = node(after, x, start, remaining - c, f, cl)",
+        "sub = node(after, x, start, remaining - c,"
+        " *((f, cl) if c < remaining else (free, clash)))",
+    ),
+}
+
 
 @contextlib.contextmanager
 def mutant(snippet, replacement):
@@ -59,6 +82,17 @@ def mutant(snippet, replacement):
         yield module
     finally:
         del sys.modules[name]
+
+
+def listing(module, v, n):
+    return [(r.coprofile.entries, r.euler) for r in module.fixed_locus_summary(v, n).strata]
+
+
+def reference_listing(v, n):
+    """(entries, chi) of every coprofile of colength n whose reference
+    system is not infeasible, in lex order of the entries."""
+    systems = ((p, profile_constraint_system(v, p)) for p in enumerate_coprofiles(v, n))
+    return [(p.entries, stratum_euler(cs)) for p, cs in systems if not cs.infeasible]
 
 
 @pytest.mark.parametrize("label", MUTANTS)
@@ -80,6 +114,9 @@ def test_unmutated_source_passes_the_claim(monkeypatch):
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
         for _, _, v, order in MUTANTS.values():
             assert verify_product_formula(v, order, guard=order).ok
+        reference = reference_listing((1, 1, 1), 5)
+        assert listing(module, (1, 1, 1), 5) == reference
+    assert (len(reference), [chi for _, chi in reference].count(0)) == (157, 6)
 
 
 @pytest.mark.parametrize("v, order", [((1, 1, 1), 2), ((3, 2, 1), 2), ((2, 2, 2), 3)])
@@ -94,3 +131,12 @@ def test_product_claim_rejects_shared_image_line(v, order, monkeypatch):
     assert verify_product_formula(v, order - 1).ok
     report = verify_product_formula(v, order)
     assert report.status == "fail" and report.first_mismatch == order
+
+
+@pytest.mark.parametrize("label", WALK_MUTANTS)
+def test_listing_rejects_walk_mutant(label, monkeypatch):
+    with mutant(*WALK_MUTANTS[label]) as module:
+        got = listing(module, (1, 1, 1), 5)
+        monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
+        assert verify_product_formula((1, 1, 1), 5).ok
+    assert got != reference_listing((1, 1, 1), 5)

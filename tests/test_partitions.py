@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quotbox.partitions as partitions
 from conftest import load_coeff_table, load_count_table
 from quotbox.partitions import (
     GuardExceeded,
@@ -121,8 +122,6 @@ def test_count_box_small():
 def test_box_walk_guard(monkeypatch):
     # the guard reads the exact stack count, MacMahon's box formula, and
     # raises before the walk starts
-    import quotbox.partitions as partitions
-
     assert sum(count_box_partitions((3, 3, 3))) == 980
     monkeypatch.setattr(partitions, "BOX_WALK_GUARD", 980)
     assert sum(count_box_partitions((3, 3, 3))) == 980
@@ -183,12 +182,13 @@ def test_dp_properties(v):
         assert box_partition_polynomial_dp(perm) == dp
 
 
-def test_dp_state_guard():
+def test_dp_state_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
         box_partition_polynomial_dp((1, 15, 15))
-    # explicit guard override refuses even small boxes
+    # a lowered guard refuses even small boxes
+    monkeypatch.setattr(partitions, "DP_STATE_GUARD", 3)
     with pytest.raises(GuardExceeded):
-        box_partition_polynomial_dp((2, 2, 2), state_guard=3)
+        box_partition_polynomial_dp((2, 2, 2))
 
 
 def test_monomial_ideal_validation():
@@ -282,14 +282,15 @@ def test_ideal_serialization():
             MonomialIdeal.from_json(bad)
 
 
-def test_enumerate_box_ideals():
+def test_enumerate_box_ideals(monkeypatch):
     assert len(enumerate_box_monomial_ideals((1, 1, 1))) == 2
     ideals = enumerate_box_monomial_ideals((2, 2, 2))
     assert len(ideals) == 20
     by_len = collections.Counter(i.colength() for i in ideals)
     assert [by_len[n] for n in range(9)] == GOLDEN_BOXES[(2, 2, 2)]
+    monkeypatch.setattr(partitions, "ANTICHAIN_GUARD", 1 << 10)
     with pytest.raises(GuardExceeded):
-        enumerate_box_monomial_ideals((3, 3, 3), guard=1 << 10)
+        enumerate_box_monomial_ideals((3, 3, 3))
 
 
 def test_pair_counts():

@@ -6,14 +6,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GRID, load_coeff_table
+from conftest import GRID, consistent_strata, load_coeff_table
 from field_oracle import stratum_euler_oracle_fp
 from quotbox.partitions import GuardExceeded
 from quotbox.quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    _consistent_strata,
     _fiber_tables,
     _layer_transfer,
     _pack,
@@ -202,7 +201,7 @@ def test_search_visits_exactly_the_consistent_strata():
         by_v[v] = max(by_v.get(v, 0), n)
     for v, order in by_v.items():
         visited = {}
-        for entries, drop, chi in _consistent_strata(ReflexiveParams.of(v), order):
+        for entries, drop, chi in consistent_strata(ReflexiveParams.of(v), order):
             assert chi == stratum_euler(reference_system(v, entries, drop))
             visited.setdefault(drop, []).append((entries, chi))
         for n in range(order + 1):
@@ -217,16 +216,19 @@ def test_search_visits_exactly_the_consistent_strata():
 
 
 def test_summary_total_matches_pruned_search():
-    # two routes: the summary sums the search, quot_fixed_euler the transfer
+    # the summary lists the walk with the memo off on v, quot_fixed_euler
+    # sums it memoised on v sorted descending
     for v, n in SEARCH_CASES:
         assert fixed_locus_summary(v, n).total == quot_fixed_euler(v, n)
 
 
 def test_transfer_matches_search_per_drop():
+    # one walk, run twice: the listing run has the memo off, so this
+    # checks exactly the memo
     for v in GRID:
         params = ReflexiveParams.of(v)
         sums = [0] * 9
-        for _, drop, chi in _consistent_strata(params, 8):
+        for _, drop, chi in consistent_strata(params, 8):
             sums[drop] += chi
         assert _layer_transfer(params, 8) == sums
 
@@ -305,7 +307,7 @@ def test_oracle_rejects_counts_that_are_not_polynomial():
 def checked_strata(v, order):
     """(reference system, χ) of each stratum the search yields, after
     checking the search's χ against the engine and the field oracle."""
-    for entries, drop, chi in _consistent_strata(ReflexiveParams.of(v), order):
+    for entries, drop, chi in consistent_strata(ReflexiveParams.of(v), order):
         cs = reference_system(v, entries, drop)
         assert chi == stratum_euler(cs) == stratum_euler_oracle_fp(cs)
         yield cs, chi
@@ -384,7 +386,7 @@ def test_packing_base_does_not_alias():
             params = ReflexiveParams(*perm)
             for order in range(7):
                 sums = [0] * (order + 1)
-                for entries, drop, chi in _consistent_strata(params, order):
+                for entries, drop, chi in consistent_strata(params, order):
                     assert Coprofile(entries).n == drop
                     sums[drop] += chi
                 assert _layer_transfer(params, order) == sums
@@ -431,7 +433,6 @@ def test_guards(monkeypatch):
     def no_work(*args):
         raise AssertionError("search started before the guard check")
 
-    monkeypatch.setattr("quotbox.quotfixed._consistent_strata", no_work)
     monkeypatch.setattr("quotbox.quotfixed._layer_transfer", no_work)
     monkeypatch.setattr("quotbox.quotfixed.stratum_euler", no_work)
     with pytest.raises(GuardExceeded):
@@ -452,8 +453,8 @@ def test_guards(monkeypatch):
 
 
 def test_search_and_transfer_leave_no_cycles():
-    # the search's generator and the transfer's closures are unlinked when
-    # they finish, so their tables are freed at once, not by the collector
+    # the walk's closures are unlinked when it finishes, listing or not,
+    # so their tables are freed at once, not by the collector
     gc.collect()
     gc.disable()
     try:
@@ -527,6 +528,10 @@ def test_summary_structure_and_json():
         # derived fields: the total is the euler sum, every stratum has colength n
         ("total", 4),
         ("strata", [{"coprofile": [[[0, 1, 1], 2]], "euler": 3}]),
+        # v is a box triple, and every drop fits the fiber of v at its weight
+        ("v", [0, 0, 0]),
+        ("v", [1, -1, 1]),
+        ("strata", [{"coprofile": [[[0, 0, 0], 1]], "euler": 3}]),
     ]:
         with pytest.raises(ValueError):
             FixedLocusSummary.from_json(json.dumps(dict(data, **{key: bad})))
@@ -538,6 +543,10 @@ def test_summary_structure_and_json():
     for bad in (unchecked, "[1]", "{}", missing):
         with pytest.raises(ValueError):
             FixedLocusSummary.from_json(bad)
+    # a drop of 3 where the fiber of v is 2-dimensional
+    too_deep = [{"coprofile": [[[1, 1, 1], 3]], "euler": 1}]
+    with pytest.raises(ValueError):
+        FixedLocusSummary.from_json(json.dumps(dict(data, n=3, strata=too_deep, total=1)))
 
 
 def test_determinism():

@@ -70,6 +70,14 @@ def test_report_round_trip():
         ("rhs", "139"),
         ("first_mismatch", 1.0),
         ("first_mismatch", True),
+        # fields summary() formats: a number, a string, an object
+        ("wall_time", None),
+        ("wall_time", "x"),
+        ("wall_time", True),
+        ("params", [1]),
+        ("params", "v=1"),
+        ("claim", 7),
+        ("claim", None),
     ]:
         payload = dict(json.loads(report.to_json()), **{key: bad})
         with pytest.raises(ValueError):
