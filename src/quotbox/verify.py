@@ -64,15 +64,17 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         """Read what to_json writes: claim a string, params an object,
-        wall_time a number, lhs and rhs lists of ints, status "pass" or
-        "fail", and first_mismatch the first index where they differ (null
-        when they agree, as on every pass); a float or a bool there is a
-        ValueError rather than a truncated value.  A "fail" with equal
-        lists stays legal, since a claim can fail an extra check."""
+        wall_time a finite number >= 0, lhs and rhs lists of ints, status
+        "pass" or "fail", and first_mismatch the first index where they
+        differ (null when they agree, as on every pass); a float or a bool
+        there is a ValueError rather than a truncated value.  A "fail" with
+        equal lists stays legal, since a claim can fail an extra check."""
         report = cls(*_json_fields(json.loads(text), *(f.name for f in fields(cls))))
         kinds = type(report.claim), type(report.params), type(report.wall_time)
         if kinds not in [(str, dict, int), (str, dict, float)]:
             raise ValueError("claim, params, wall_time must be a str, a dict, a number")
+        if not 0 <= report.wall_time < float("inf"):
+            raise ValueError(f"wall_time {report.wall_time!r} is not finite and >= 0")
         for key in ("lhs", "rhs"):
             values = getattr(report, key)
             if type(values) is not list or any(type(c) is not int for c in values):

@@ -5,9 +5,12 @@ must occur exactly once) and runs as a fresh module, registered in
 ``sys.modules`` only while it runs.  For the mutants of the memoised
 walk the check is the ``product`` claim, ``verify_product_formula``: the
 engine series against the closed form.  It must pass on the mutant at
-order - 1 and fail at the listed order, with the first mismatch at that
-coefficient, and without an exception.  The image-line mutant patches the
-module interface, ``ReflexiveParams.image_line``, instead of the source.
+order - 1 and fail at the listed order, with the first mismatch at the
+listed coefficient, and without an exception.  That coefficient can be
+order - 1: a node with one unit of drop left builds no memo key, so the
+walk to order m can miss a memo fault that the walk to order m + 1 shows
+at coefficient m.  The image-line mutant patches the module interface,
+``ReflexiveParams.image_line``, instead of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
@@ -29,16 +32,18 @@ from quotbox.verify import verify_product_formula
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
 
-KEY = "key = (layer, tuple(labels), tuple(lines), remaining)"
+KEY = "key = (layer, tuple(labels), tuple(lines), left)"
 
-# label: (snippet, replacement, v, first order at which the claim fails)
+# label: (snippet, replacement, v, first order at which the claim fails, its
+# first mismatch)
 MUTANTS = {
-    "closing factor dropped": ("out[k] += x << closed", "out[k] += x", (1, 1, 1), 6),
-    "key without lines": (KEY, "key = (layer, tuple(labels), remaining)", (2, 1, 1), 6),
+    "closing factor dropped": ("out[k] += x << closed", "out[k] += x", (1, 1, 1), 7, 6),
+    "key without lines": (KEY, "key = (layer, tuple(labels), left)", (2, 1, 1), 7, 6),
     "key with only a forced flag per line": (
         KEY,
-        "key = (layer, tuple(labels), tuple(l is None for l in lines), remaining)",
+        "key = (layer, tuple(labels), tuple(l is None for l in lines), left)",
         (1, 1, 1),
+        11,
         11,
     ),
     "packing base one low": (
@@ -46,24 +51,38 @@ MUTANTS = {
         "base = max(params) + max(order, 1) - 1",
         (1, 1, 1),
         1,
+        1,
+    ),
+    "wrap bits not cleared in bad": (
+        "bad = bad << layer_size | (bad << base) & row | (bad << 1) & col",
+        "bad = bad << layer_size | bad << base | bad << 1",
+        (1, 1, 1),
+        1,
+        1,
+    ),
+    "last-level popcount not shifted by free": (
+        "out[shift + 1] += (full_at & ones).bit_count() << free",
+        "out[shift + 1] += (full_at & ones).bit_count()",
+        (1, 1, 1),
+        5,
+        5,
+    ),
+    "badline reads F, not F | P": (
+        "badline = twos & ~held", "badline = twos & ~full", (1, 1, 1), 5, 5,
     ),
 }
 
 # the listing walk's node: every child walked in place, no memo
-LISTING = (
-    "            if remaining:\n"
-    "                children(cands, 0, len(cands), start, remaining, free, clash, out)\n"
-    "            return out\n"
-)
+LISTING = "if visit or last < 0:  # no memo in the listing, no layer to split at the root"
 
 # label: (snippet, replacement) of the branches only a visitor takes
 WALK_MUTANTS = {
-    "visiting prunes clash pairs": ("if cl and not visit:", "if cl:"),
-    "visiting uses the memo": (LISTING, "            if not remaining:\n                return out\n"),
+    "visiting prunes clash pairs": ("if not cl or visit:", "if not cl:"),
+    "visiting uses the memo": (LISTING, "if last < 0:"),
     "a visited leaf reports its parent's chi": (
-        "sub = node(after, x, start, remaining - c, f, cl)",
-        "sub = node(after, x, start, remaining - c,"
-        " *((f, cl) if c < remaining else (free, clash)))",
+        "node(x, left - 1, full, held | low, f, cl, out, shift + 1)",
+        "node(x, left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)),"
+        " out, shift + 1)",
     ),
 }
 
@@ -97,13 +116,13 @@ def reference_listing(v, n):
 
 @pytest.mark.parametrize("label", MUTANTS)
 def test_product_claim_rejects_mutant(label, monkeypatch):
-    snippet, replacement, v, order = MUTANTS[label]
+    snippet, replacement, v, order, mismatch = MUTANTS[label]
     with mutant(snippet, replacement) as module:
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
         before = verify_product_formula(v, order - 1, guard=order)
         report = verify_product_formula(v, order, guard=order)
     assert before.ok
-    assert report.status == "fail" and report.first_mismatch == order
+    assert report.status == "fail" and report.first_mismatch == mismatch
     assert "quotbox._mutant_quotfixed" not in sys.modules
 
 
@@ -112,7 +131,7 @@ def test_unmutated_source_passes_the_claim(monkeypatch):
     # passes at every listed point
     with mutant(KEY, KEY) as module:
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
-        for _, _, v, order in MUTANTS.values():
+        for _, _, v, order, _ in MUTANTS.values():
             assert verify_product_formula(v, order, guard=order).ok
         reference = reference_listing((1, 1, 1), 5)
         assert listing(module, (1, 1, 1), 5) == reference

@@ -535,6 +535,20 @@ def test_summary_structure_and_json():
     ]:
         with pytest.raises(ValueError):
             FixedLocusSummary.from_json(json.dumps(dict(data, **{key: bad})))
+    # strata the walk never lists, each with a consistent total: repeated,
+    # out of lex order, a support weight with no predecessor in the support
+    # (the corner v at v = (1, 1, 1)), an euler neither 0 nor a power of 2
+    corner, first = [{"coprofile": [[[1, 1, 1], 1]], "euler": 1}], data["strata"][0]
+    for strata, reason in [
+        (data["strata"][:1] * 2, "lex order"),
+        (data["strata"][::-1], "lex order"),
+        (corner, "no predecessor"),
+        ([dict(first, euler=3)], "power of 2"),
+        ([dict(first, euler=-2)], "power of 2"),
+    ]:
+        total = sum(s["euler"] for s in strata)
+        with pytest.raises(ValueError, match=reason):
+            FixedLocusSummary.from_json(json.dumps(dict(data, strata=strata, total=total)))
     unchecked = (
         '{"v": [1.5, true, "x"], "n": 2.5,'
         ' "strata": [{"coprofile": [], "euler": 1.7}], "total": "9"}'

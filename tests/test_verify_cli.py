@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import shlex
@@ -74,6 +75,12 @@ def test_report_round_trip():
         ("wall_time", None),
         ("wall_time", "x"),
         ("wall_time", True),
+        # summary() would print wall_time=nans or a negative time
+        ("wall_time", math.nan),
+        ("wall_time", math.inf),
+        ("wall_time", -math.inf),
+        ("wall_time", -5.0),
+        ("wall_time", -1),
         ("params", [1]),
         ("params", "v=1"),
         ("claim", 7),
