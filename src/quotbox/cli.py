@@ -135,7 +135,11 @@ def _run(args) -> int:
         return 0
     print(report.summary())
     if args.json:
-        with open(args.json, "w") as fh:
+        try:
+            fh = open(args.json, "w")
+        except OSError as exc:
+            raise ValueError(f"--json: {exc}") from exc
+        with fh:
             fh.write(report.to_json())
     return 0 if report.ok else 1
 

@@ -34,33 +34,38 @@ only the drops at w - e_k, earlier in lex order, so they are decided when
 (w, c) is added, and an infeasible pair is cut with its subtree; every
 lex-order prefix of a consistent stratum is consistent, so the walk
 visits exactly the consistent strata.  A set of weights is an int used
-as a bitmask over packed weights (see ``_fiber_tables``): a node's
+as a bitmask over packed weights (see ``_window_base``): a node's
 candidates are a few shifts of its branch's masks against those of
-``ReflexiveParams.fiber_masks``, and only a line goes on to
-``_target_rule``.  The branch's links and forced lines live in
-``_Components``, a union-find with undo that counts the unforced
+``ReflexiveParams.fiber_masks``, and a line's links and forced lines are
+read off the same masks, the lines from ``ReflexiveParams.image_line``;
+the walk reads nothing else of R0.  The branch's links and forced lines
+live in ``_Components``, a union-find with undo that counts the unforced
 components and notes a clash, so each node's Euler characteristic is
 known without a constraint system.
 
 ``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
 x1-layer boundaries, on v sorted descending so that the layers cut the
 longest side: permuting coordinates is a torus-equivariant isomorphism
-R0(v) = R0(sigma v), and it beats ascending order 1.1 to 1.5 times at
-order 12 on every triple measured.  ``fixed_locus_summary`` lists the
-nodes of the same walk with the memo off, on the caller's v, so its
-total against ``quot_fixed_euler`` checks the memo and the orientation.
+R0(v) = R0(sigma v).  It is not always the fastest orientation: at
+order 12 it beats ascending order about 1.4 times on (3,2,1), (2,1,1)
+and (3,1,1), but (3,1,2) beats (3,2,1) about 1.15 times, and (3,3,2)
+against (2,3,3) is within the noise (see the README).
+``fixed_locus_summary`` lists the nodes of the same walk with the memo
+off, on the caller's v, so its total against ``quot_fixed_euler`` checks
+the memo and the orientation.
 
-The tests' reference lists every coprofile of one colength with
-``enumerate_coprofiles``, the set closure of the reachability rule,
-sharing no code with the walk, and builds each one's system with
-``profile_constraint_system``; the tests' field oracle recounts it over
-prime fields.  Everything is exact integer arithmetic, and enumeration
-and walk depth are guarded at colength ``COLENGTH_GUARD``.
+The tests' reference shares no code with the walk, only the closed forms
+of ``ReflexiveParams``: ``enumerate_coprofiles`` lists every coprofile
+of one colength, the set closure of the reachability rule, and
+``profile_constraint_system`` builds each one's system with
+``_target_rule`` on predecessors read from ``dim_at`` and
+``image_line``; the tests' field oracle recounts it over prime fields.
+Everything is exact integer arithmetic, and enumeration and walk depth
+are guarded at colength ``COLENGTH_GUARD``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -126,17 +131,12 @@ class Coprofile:
         return cls(tuple(_json_list(e, "a coprofile entry") for e in entries))
 
 
-def _pack(w: Weight, base: int) -> int:
-    return (w[0] * base + w[1]) * base + w[2]
-
-
 def _unpack(x: int, base: int) -> Weight:
     return (x // (base * base), x // base % base, x % base)
 
 
-def _fiber_tables(params: ReflexiveParams, order: int):
-    """The packing base B of a search to this order, and the memoized
-    fiber table of a packed weight.
+def _window_base(params: ReflexiveParams, order: int) -> int:
+    """The packing base B of a search to this order.
 
     The search keys w as x = (w1*B + w2)*B + w3 and as bit x of a mask,
     exact and in lex order while w2, w3 < B; x + 1, x + B, x + B^2 are its
@@ -144,27 +144,8 @@ def _fiber_tables(params: ReflexiveParams, order: int):
     colength <= order is at most order - 1 steps above a generator weight,
     so the window [0, B)^3, B = max(v) + order (at least max(v) + 1),
     holds every weight the search reads.
-
-    table(x) is (fiber dimension at x, predecessors): (x - e_k, its fiber
-    dimension, image line) for each k whose fiber is nonzero, the image line
-    the one x_k carries that fiber to if it is 1-dimensional and the fiber
-    at x 2-dimensional, else None.  It reads the module only through
-    ``ReflexiveParams.dim_at``, on w from ``_unpack``, and ``image_line``.
     """
-    base = max(params) + max(order, 1)
-    lines = [params.image_line(k) for k in (1, 2, 3)]
-    dim = functools.cache(lambda x: params.dim_at(*_unpack(x, base)))
-
-    @functools.cache
-    def table(x: int):
-        d = dim(x)
-        preds = []
-        for wk, step, line in zip(_unpack(x, base), (base * base, base, 1), lines):
-            if wk and (ds := dim(x - step)):
-                preds.append((x - step, ds, line if ds == 1 and d == 2 else None))
-        return d, tuple(preds)
-
-    return base, table
+    return max(params) + max(order, 1)
 
 
 def _check_order(order, guard: int) -> None:
@@ -226,14 +207,17 @@ class ConstraintSystem:
 def _target_rule(preds, free_t: int, drops: dict[Weight, int]):
     """Decide the conditions x_k F_{w - e_k} <= F_w for one target w.
 
-    preds is the predecessor list of w and free_t = dim(w) - drop(w).
-    Every multiplication map has rank equal to its source dimension, so
-    only dimensions decide the outcome: a full 1-dimensional source forces
-    a free target line to its image, a free line source links to a free
-    target line, and any other nonzero source leaves too little room in
-    the target.  Returns (forced line or None, link sources, infeasible);
-    a second, different forced line makes the target infeasible and the
-    first one is kept.  Only the drops at the predecessors are read.
+    preds lists (w - e_k, its fiber dimension, image line) for each k whose
+    fiber is nonzero, the image line the one x_k carries that fiber to if
+    it is 1-dimensional and the fiber at w 2-dimensional, else None, and
+    free_t = dim(w) - drop(w).  Every multiplication map has rank equal to
+    its source dimension, so only dimensions decide the outcome: a full
+    1-dimensional source forces a free target line to its image, a free
+    line source links to a free target line, and any other nonzero source
+    leaves too little room in the target.  Returns (forced line or None,
+    link sources, infeasible); a second, different forced line makes the
+    target infeasible and the first one is kept.  Only the drops at the
+    predecessors are read.
     """
     forced = None
     sources = []
@@ -259,31 +243,31 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
 
     For every support weight w and direction k the multiplication map from
     w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
-    conditions of each target.
+    conditions of each target, on predecessors read from the closed forms
+    ``ReflexiveParams.dim_at`` and ``image_line``.
     """
     params = ReflexiveParams.of(v)
-    # a base for "order" M is above M, the largest coordinate of the profile
-    base, table = _fiber_tables(params, max(sum(profile.support, (0,))))
-    drops = {_pack(w, base): c for w, c in profile.entries}
+    drops = profile.as_dict()
     variables = []
     fixed: dict[Weight, Point] = {}
     links: list[tuple[Weight, Weight]] = []
     infeasible = False
 
     for w, c in profile.entries:
-        d, _ = table(_pack(w, base))
+        d = params.dim_at(*w)
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
         if d == 2 and c == 1:
             variables.append(w)
-
-    for wt, ct in profile.entries:
-        xt = _pack(wt, base)
-        d, preds = table(xt)
-        forced, sources, bad = _target_rule(preds, d - ct, drops)
+        preds = []
+        for k, e in enumerate(_E, 1):
+            ws = tuple(map(int.__sub__, w, e))
+            if min(ws) >= 0 and (ds := params.dim_at(*ws)):
+                preds.append((ws, ds, params.image_line(k) if (ds, d) == (1, 2) else None))
+        forced, sources, bad = _target_rule(preds, d - c, drops)
         if forced is not None:
-            fixed[wt] = forced
-        links.extend((_unpack(xs, base), wt) for xs in sources)
+            fixed[w] = forced
+        links.extend((ws, w) for ws in sources)
         infeasible = infeasible or bad
 
     return ConstraintSystem(
@@ -359,8 +343,12 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     fiber outside F, badline those with one of 2-dimensional fiber outside
     F | P: unions of shifts by step_k, bad less the bits a shift wraps from
     w_k = B - 1 to w_k = 0 (badline is read only on D2, where w_k > 0).  A
-    full drop at x is allowed iff x is not in bad, which is exactly
-    ``_target_rule``'s verdict at free_t = 0; a line must be outside badline.
+    full drop at x is allowed iff x is not in bad.  A line must be outside
+    badline, and then each predecessor x - step_k, a nonzero fiber as x is
+    on the cone w >= v, is read off the masks: in F it sets no condition,
+    in P it is a link source, and otherwise it is a 1-dimensional fiber at
+    w_k = v_k that forces image_line(k); a second, different forced line
+    makes the pair infeasible.
 
     Once a later x1-layer is entered, layer a is final.  A node whose last
     weight lies in layer a walks its layer-a children in place; the tail
@@ -381,8 +369,10 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     in pre-order (lex order of the entries, packed in path), the memo
     off, clash pairs followed with chi = 0 and leaves made nodes.
     """
-    base, table = _fiber_tables(params, order)
+    base = _window_base(params, order)
     layer_size = base * base
+    # a line's predecessors: the step to each, and the line x_k carries it to
+    preds = tuple(zip((layer_size, base, 1), map(params.image_line, (1, 2, 3))))
     d1, d2 = params.fiber_masks(base)
     # (D1|D2, D1, D2) to layer max(a + 1, v1), the last that can hold a candidate
     keeps = ((1 << max(t, params.v1 + 1) * layer_size) - 1 for t in range(base + 2))
@@ -392,7 +382,6 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
     find, parent, line = comps.find, comps.parent, comps.line
-    drops: dict[int, int] = {}
     path: list[tuple[int, int]] = []  # the branch's entries, in order
     memo: dict[tuple, list[int]] = {}
 
@@ -404,27 +393,33 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
             m ^= low
             x = low.bit_length() - 1
             if low & line_at:
-                forced, sources, infeasible = _target_rule(table(x)[1], 1, drops)
-                if not infeasible:
+                forced, sources = None, []
+                for step, image in preds:
+                    source = low >> step
+                    if source & full:
+                        continue  # fully dropped: no condition
+                    if source & held:
+                        sources.append(x - step)  # a line variable: linked
+                    elif forced is None:
+                        forced = image  # 1-dimensional, at w_k = v_k
+                    elif forced != image:
+                        break  # a second, different forced line
+                else:
                     merges, f, cl = add_variable(x, forced, sources, free, clash)
                     if left == 1 and not visit:  # a leaf: no drop left for children
                         out[shift + 1] += 0 if cl else 1 << f
                     elif not cl or visit:
-                        drops[x] = 1
                         path.append((x, 1))
                         node(x, left - 1, full, held | low, f, cl, out, shift + 1)
                         path.pop()
-                        del drops[x]
                     remove_variable(x, merges)
             if low & full_at and (c := 2 if low & d2 else 1) <= left:
                 if c == left and not visit:
                     out[shift + c] += 1 << free
                     continue
-                drops[x] = c
                 path.append((x, c))
                 node(x, left - c, full | low, held | low, free, clash, out, shift + c)
                 path.pop()
-                del drops[x]
 
     def node(last, left, full, held, free, clash, out, shift):
         """Add to out[shift:] the series below the node with entries path and
@@ -481,7 +476,7 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     out = [0] * (order + 1)
     node(-1, order, 0, 0, 0, False, out, 0)
     # the closures reach one another through their cells; unlinking
-    # them frees the memo and the tables now, not at the next collection
+    # them frees the memo now, not at the next collection
     del children, node
     return out
 
@@ -577,7 +572,7 @@ def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSum
     """
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
-    base, _ = _fiber_tables(params, n)
+    base = _window_base(params, n)
     records = []
 
     def visit(path, drop, chi):

@@ -1,6 +1,6 @@
 import os
 
-from quotbox.quotfixed import _fiber_tables, _layer_transfer, _unpack
+from quotbox.quotfixed import _layer_transfer, _unpack, _window_base
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -42,7 +42,7 @@ def load_coeff_table(name):
 def consistent_strata(params, order):
     """The strata the engine's walk lists for params through order, as
     (entries, drop, χ) in pre-order, the entries decoded to weights."""
-    base, _ = _fiber_tables(params, order)
+    base = _window_base(params, order)
     out = []
 
     def visit(path, drop, chi):

@@ -14,10 +14,13 @@ at coefficient m.  The image-line mutant patches the module interface,
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
-(1, 1, 1), n = 5 against the reference listing.
+(1, 1, 1), n = 5 against the reference listing.  The mutants of the
+walk's line rule change both walks, so each is rejected by the claim and
+again by the reference listing, whose rule shares no code with the walk.
 """
 
 import contextlib
+import functools
 import importlib.util
 import sys
 
@@ -47,8 +50,8 @@ MUTANTS = {
         11,
     ),
     "packing base one low": (
-        "base = max(params) + max(order, 1)",
-        "base = max(params) + max(order, 1) - 1",
+        "return max(params) + max(order, 1)",
+        "return max(params) + max(order, 1) - 1",
         (1, 1, 1),
         1,
         1,
@@ -70,7 +73,28 @@ MUTANTS = {
     "badline reads F, not F | P": (
         "badline = twos & ~held", "badline = twos & ~full", (1, 1, 1), 5, 5,
     ),
+    "a forced predecessor ignored": (
+        "add_variable(x, forced, sources, free, clash)",
+        "add_variable(x, None, sources, free, clash)",
+        (1, 1, 1),
+        3,
+        3,
+    ),
+    "a P predecessor not linked": (
+        "sources.append(x - step)  # a line variable: linked", "pass", (1, 1, 1), 5, 5,
+    ),
+    "a second forced line not compared": (
+        "break  # a second, different forced line", "pass", (1, 1, 1), 1, 1,
+    ),
 }
+
+# the mutants of the walk's line rule, which the reference listing must
+# also reject: its systems come from _target_rule, not from the walk
+RULE_MUTANTS = (
+    "a forced predecessor ignored",
+    "a P predecessor not linked",
+    "a second forced line not compared",
+)
 
 # the listing walk's node: every child walked in place, no memo
 LISTING = "if visit or last < 0:  # no memo in the listing, no layer to split at the root"
@@ -107,6 +131,7 @@ def listing(module, v, n):
     return [(r.coprofile.entries, r.euler) for r in module.fixed_locus_summary(v, n).strata]
 
 
+@functools.cache  # the listing is only compared, never changed
 def reference_listing(v, n):
     """(entries, chi) of every coprofile of colength n whose reference
     system is not infeasible, in lex order of the entries."""
@@ -158,4 +183,12 @@ def test_listing_rejects_walk_mutant(label, monkeypatch):
         got = listing(module, (1, 1, 1), 5)
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
         assert verify_product_formula((1, 1, 1), 5).ok
+    assert got != reference_listing((1, 1, 1), 5)
+
+
+@pytest.mark.parametrize("label", RULE_MUTANTS)
+def test_listing_rejects_rule_mutant(label):
+    snippet, replacement = MUTANTS[label][:2]
+    with mutant(snippet, replacement) as module:
+        got = listing(module, (1, 1, 1), 5)
     assert got != reference_listing((1, 1, 1), 5)

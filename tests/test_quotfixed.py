@@ -1,4 +1,3 @@
-import collections
 import gc
 import itertools
 import json
@@ -13,9 +12,7 @@ from quotbox.quotfixed import (
     ConstraintSystem,
     Coprofile,
     FixedLocusSummary,
-    _fiber_tables,
     _layer_transfer,
-    _pack,
     enumerate_coprofiles,
     fixed_locus_summary,
     profile_constraint_system,
@@ -23,7 +20,7 @@ from quotbox.quotfixed import (
     quot_series,
     stratum_euler,
 )
-from quotbox.reflexive import ReflexiveParams, fiber, fiber_dim
+from quotbox.reflexive import ReflexiveParams, fiber_dim
 from quotbox.series import quot_closed_form
 from quotbox.verify import verify_product_formula
 
@@ -393,27 +390,6 @@ def test_packing_base_does_not_alias():
                 assert sums == list(quot_closed_form(v, order).coeffs)
 
 
-def test_fiber_tables_match_fiber():
-    # the search's table against the slow route on [0, 6]^3: the table
-    # dimension is fiber(v, w).dim, and each predecessor entry names a
-    # nonzero fiber w - e_k, with image_line(k) (pinned to mult_matrix in
-    # test_reflexive) exactly on the steps from dimension 1 into 2
-    for v in GRID:
-        params = ReflexiveParams.of(v)
-        base, table = _fiber_tables(params, 7)
-        for w in itertools.product(range(7), repeat=3):
-            d, preds = table(_pack(w, base))
-            assert d == fiber(v, w).dim
-            expected = []
-            for k in (1, 2, 3):
-                ws = tuple(w[i] - (i == k - 1) for i in range(3))
-                ds = fiber(v, ws).dim if min(ws) >= 0 else 0
-                if ds:
-                    image = params.image_line(k) if (ds, d) == (1, 2) else None
-                    expected.append((_pack(ws, base), ds, image))
-            assert preds == tuple(expected)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(
     st.tuples(*[st.integers(1, 3)] * 3).flatmap(
@@ -454,7 +430,7 @@ def test_guards(monkeypatch):
 
 def test_search_and_transfer_leave_no_cycles():
     # the walk's closures are unlinked when it finishes, listing or not,
-    # so their tables are freed at once, not by the collector
+    # so their memo is freed at once, not by the collector
     gc.collect()
     gc.disable()
     try:
@@ -466,33 +442,42 @@ def test_search_and_transfer_leave_no_cycles():
         gc.enable()
 
 
+def _count_mask_reads(monkeypatch):
+    # the walk never asks for one weight's fiber dimension: dim_at is
+    # patched to raise, and each fiber_masks call is recorded by its base
+    def no_dim_at(params, *w):
+        raise AssertionError("the walk read dim_at")
+
+    masks = []
+    fiber_masks = ReflexiveParams.fiber_masks
+    monkeypatch.setattr(ReflexiveParams, "dim_at", no_dim_at)
+    monkeypatch.setattr(
+        ReflexiveParams, "fiber_masks",
+        lambda params, base: masks.append(base) or fiber_masks(params, base),
+    )
+    return masks
+
+
 def test_summary_reads_one_fiber_table(monkeypatch):
-    # one table for the whole search, not a fresh table per stratum
-    calls = collections.Counter()
-    dim_at = ReflexiveParams.dim_at
-
-    def counting(params, *w):
-        calls[w] += 1
-        return dim_at(params, *w)
-
-    monkeypatch.setattr(ReflexiveParams, "dim_at", counting)
-    summary = fixed_locus_summary((1, 1, 1), 5)
-    assert summary.total == quot_closed_form((1, 1, 1), 5)[5]
-    assert max(calls.values()) <= 2
+    # one set of masks for the whole search, not a fresh read per stratum
+    masks = _count_mask_reads(monkeypatch)
+    for v, order in [((1, 1, 1), 5), ((1, 2, 3), 4)]:
+        masks.clear()
+        assert fixed_locus_summary(v, order).total == quot_closed_form(v, order)[order]
+        assert len(masks) == 1
 
 
 def test_each_series_call_builds_its_own_table(monkeypatch):
-    # no table survives a call: a repeated call reads the module again
-    calls = []
-    dim_at = ReflexiveParams.dim_at
-    monkeypatch.setattr(
-        ReflexiveParams, "dim_at", lambda params, *w: calls.append(w) or dim_at(params, *w)
-    )
+    # no masks survive a call: a repeated call reads the module again
+    masks = _count_mask_reads(monkeypatch)
     first = quot_series((1, 2, 3), 4)
-    once = list(calls)
-    assert once and len(set(once)) == len(once)
+    assert first == quot_closed_form((1, 2, 3), 4)
+    assert len(masks) == 1
     assert quot_series((1, 2, 3), 4) == first
-    assert calls == once * 2
+    assert masks == masks[:1] * 2
+    masks.clear()
+    assert quot_series((1, 1, 1), 5) == quot_closed_form((1, 1, 1), 5)
+    assert len(masks) == 1
 
 
 def test_summary_structure_and_json():

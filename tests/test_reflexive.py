@@ -16,7 +16,7 @@ from quotbox.reflexive import (
     sing_ideal,
 )
 from quotbox.reflexive import DimCheckEntry, DimCheckReport
-from quotbox.quotfixed import _fiber_tables, quot_series
+from quotbox.quotfixed import _window_base, quot_series
 
 
 def window(hi):
@@ -99,7 +99,7 @@ def test_fiber_masks_match_dim_at(v):
     # and no bit past the window
     params = ReflexiveParams(*v)
     for order in range(9):
-        base, _ = _fiber_tables(params, order)
+        base = _window_base(params, order)
         d1, d2 = params.fiber_masks(base)
         for x, w in enumerate(itertools.product(range(base), repeat=3)):
             dim = params.dim_at(*w)

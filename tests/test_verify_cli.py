@@ -204,6 +204,19 @@ def test_cli_verify_pass_and_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_json_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    # a missing directory or a directory in place of the file: the error
+    # on stderr, exit 2, no traceback
+    argv = ["verify", "product", "--v", "1", "1", "1", "--order", "3", "--json"]
+    for path, reason in [(tmp_path / "missing" / "x.json", "No such file"),
+                         (tmp_path, "Is a directory")]:
+        assert cli_main(argv + [str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "status=PASS" in out
+        assert err.startswith("invalid parameters: --json:") and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_hilb_guard_bounds_the_search(capsys):
     # the default guard bounds the nodes of the antichain search, at most
     # (cells + 1) * ideals: 19 * 175 for (3,3,2), 37 * 4,116 for (3,3,4)
