@@ -12,6 +12,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .partitions import (
@@ -128,8 +129,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    """Call the command's handler; a report it returns is printed, written
-    to --json and decides the exit code."""
+    """Check the --json path, then call the command's handler; a report it
+    returns is printed, written to --json and decides the exit code."""
+    path = getattr(args, "json", None)
+    if path and os.path.isdir(path):
+        raise ValueError(f"--json: Is a directory: {path!r}")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--json: No such file or directory: {path!r}")
     report = args.handler(args)
     if report is None:
         return 0

@@ -23,8 +23,8 @@ The DP never compares two rows.  A row s may follow any row t >= s
 componentwise, so one row step takes, for every s, the sum over the
 up-set {t >= s} of weakly decreasing tuples.  That sum is built as
 suffix sums one coordinate at a time, last coordinate first, and then
-every polynomial is shifted by |s|: v2 sweeps over the C(v2+v3, v2)
-states per row, v1 * v2 * C(v2+v3, v2) * (order+1) additions in all.
+every polynomial, one packed int, is shifted by |s|: v2 sweeps over the
+C(v2+v3, v2) states per row, v1 * v2 * C(v2+v3, v2) int additions in all.
 
 Enumeration sizes are guarded; exceeding a guard raises GuardExceeded
 rather than grinding or exhausting memory.
@@ -32,6 +32,7 @@ rather than grinding or exhausting memory.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 from .series import (
     TruncatedSeries, _box_triple, _int_triple, _json_fields, _json_list, _series_order,
+    _unpacked,
 )
 
 __all__ = [
@@ -170,6 +172,7 @@ def _stacks(bound, budget, max_rows):
     one of them.  Each stack is visited exactly once, depth first and
     unsorted.
     """
+    rows = functools.cache(_rows_fitting)  # one row list per (bound, budget)
     todo = [((), bound, 0)]
     while todo:
         stack, last, total = todo.pop()
@@ -177,7 +180,7 @@ def _stacks(bound, budget, max_rows):
         if len(stack) < max_rows:
             todo.extend(
                 (stack + (row,), row, total + s)
-                for row, s in _rows_fitting(last, budget - total)
+                for row, s in rows(last, budget - total)
             )
 
 
@@ -252,9 +255,11 @@ def box_partition_polynomial_dp(v) -> TruncatedSeries:
     is read, and after the sweeps for v2-1, ..., b, g(s) is the sum over
     decreasing t with t_j >= s_j for j >= b and t_j = s_j for j < b.
     Sweeping first to last coordinate instead would leave the decreasing
-    tuples on the way and miss terms.  The cost is
-    v1 * v2 * C(v2+v3, v2) additions of coefficient lists of length
-    order+1, where order = v1*v2*v3.
+    tuples on the way and miss terms.  Each polynomial is one int with the
+    q^n coefficient in bit field n of width W = _box_count(v).bit_length(),
+    so the cost is v1 * v2 * C(v2+v3, v2) int additions.  No field carries:
+    every coefficient, suffix sums included, counts distinct stacks in the
+    box, fewer than 2^W, none larger than v1*v2*v3, so no mask is needed.
     """
     v1, v2, v3 = _box_triple(v)
     nstates = math.comb(v2 + v3, v2)
@@ -262,17 +267,8 @@ def box_partition_polynomial_dp(v) -> TruncatedSeries:
         raise GuardExceeded(
             f"DP would need {nstates} states, guard is {DP_STATE_GUARD}"
         )
-    states = []
-
-    def gen(prefix, cap):
-        if len(prefix) == v2:
-            states.append(prefix)
-            return
-        for h in range(cap, -1, -1):
-            gen(prefix + (h,), h)
-
-    gen((), v3)
-
+    # weakly decreasing tuples, in decreasing lex order
+    states = list(itertools.combinations_with_replacement(range(v3, -1, -1), v2))
     index = {s: i for i, s in enumerate(states)}
     # sweeps[k] pairs each state s with s + e_b, b = v2-1-k, when that is
     # again a state; s + e_b is lex-larger, so it comes first in states.
@@ -286,18 +282,17 @@ def box_partition_polynomial_dp(v) -> TruncatedSeries:
     ]
     shifts = [sum(s) for s in states]
 
-    order = v1 * v2 * v3
-    # poly[i] = generating polynomial of the stacks so far whose last row
-    # is states[i]; before the first row, the last row is the full top.
-    poly = [[0] * (order + 1) for _ in states]
-    poly[index[(v3,) * v2]][0] = 1
+    # poly[i] = packed generating polynomial of the stacks so far whose last
+    # row is states[i]; before the first row, the last row is the full top.
+    width = _box_count(v1, v2, v3).bit_length()
+    poly = [0] * len(states)
+    poly[index[(v3,) * v2]] = 1
     for _ in range(v1):
         for pairs in sweeps:
             for i, j in pairs:
-                poly[i] = [x + y for x, y in zip(poly[i], poly[j])]
-        poly = [[0] * w + p[: order + 1 - w] for p, w in zip(poly, shifts)]
-    total = [sum(column) for column in zip(*poly)]
-    return TruncatedSeries(order, tuple(total))
+                poly[i] += poly[j]
+        poly = [p << width * w for p, w in zip(poly, shifts)]
+    return _unpacked(sum(poly), width, v1 * v2 * v3)
 
 
 @dataclass(frozen=True)

@@ -197,23 +197,12 @@ class TruncatedSeries:
         return f"{body} + O(q^{self.order + 1})"
 
 
-def _times_one_minus_q_pow(a: list[int], e: int) -> None:
-    """Multiply the truncated series a by (1 - q^e) in place.
-
-    Descending, so every a[n - e] read is still the old coefficient.
-    """
-    for n in range(len(a) - 1, e - 1, -1):
-        a[n] -= a[n - e]
-
-
-def _over_one_minus_q_pow(a: list[int], e: int) -> None:
-    """Divide the truncated series a by (1 - q^e) in place.
-
-    Ascending, so a[n] = old a[n] + a[n - e] reads the new coefficient,
-    which is the recurrence of multiplying by sum_k q^(k e).
-    """
-    for n in range(e, len(a)):
-        a[n] += a[n - e]
+def _unpacked(packed: int, width: int, order: int) -> TruncatedSeries:
+    """The series whose q^n coefficient is bit field n of packed, width bits wide."""
+    field = (1 << width) - 1
+    return TruncatedSeries(
+        order, tuple((packed >> width * n) & field for n in range(order + 1))
+    )
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -266,15 +255,24 @@ def _int_triple(t) -> tuple[int, int, int]:
 def macmahon(order: int) -> TruncatedSeries:
     """MacMahon's function prod_{k>=1} (1 - q^k)^(-k) up to q^order.
 
-    The q^n coefficient counts plane partitions of n.  Each factor
-    (1 - q^k)^(-1) is applied in place as one ascending pass, k passes
-    for each k <= order, about order^3 / 6 additions in all.
+    The q^n coefficient counts plane partitions of n.  The series is one int
+    with coefficient n in bit field n of W = (3^order).bit_length() bits, and
+    each factor (1 - q^k)^(-k) = sum_j C(j+k-1, j) q^(jk) is order // k + 1
+    shift-adds, masked to order + 1 fields.  No kept field carries: field n of
+    every partial product is at most M_n <= 3^n < 2^W, since log M = sum_n
+    sigma_2(n) q^n / n <= log 1/(1-3q) coefficientwise, as sigma_2(n) <= 3^n.
     """
-    a = [1] + [0] * _series_order(order)
+    width = (3 ** _series_order(order)).bit_length()
+    fields = (1 << width * (order + 1)) - 1
+    a = 1
     for k in range(1, order + 1):
-        for _ in range(k):
-            _over_one_minus_q_pow(a, k)
-    return TruncatedSeries(order, tuple(a))
+        out, term, c = a, a, 1
+        for j in range(1, order // k + 1):
+            c = c * (j + k - 1) // j  # C(j+k-1, j)
+            term = (term << width * k) & fields  # a * q^(jk), truncated
+            out += c * term
+        a = out & fields
+    return _unpacked(a, width, order)
 
 
 def _box_triple(v) -> tuple[int, int, int]:
@@ -304,12 +302,13 @@ def box_product(v, order: int | None = None) -> TruncatedSeries:
     v1, v2, v3 = _box_triple(v)
     order = v1 * v2 * v3 if order is None else _series_order(order)
     a = [1] + [0] * order
-    for i in range(1, v1 + 1):
-        for j in range(1, v2 + 1):
-            _times_one_minus_q_pow(a, i + j + v3 - 1)
-    for i in range(1, v1 + 1):
-        for j in range(1, v2 + 1):
-            _over_one_minus_q_pow(a, i + j - 1)
+    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+    for e in [h + v3 for h in hooks]:
+        for n in range(order, e - 1, -1):  # descending: a[n - e] is still old
+            a[n] -= a[n - e]
+    for e in hooks:
+        for n in range(e, order + 1):  # ascending: a[n - e] is already divided
+            a[n] += a[n - e]
     return TruncatedSeries(order, tuple(a))
 
 

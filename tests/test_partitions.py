@@ -171,6 +171,15 @@ def test_dp_five_cube():
     assert sum(dp.coeffs) == 267_227_532
 
 
+def test_dp_six_cube_and_two_bit_fields():
+    # the packed DP's field width is the bit length of the box count: 41
+    # bits at (6,6,6), 2 bits at (1,1,1), where the count is 2
+    dp = box_partition_polynomial_dp((6, 6, 6))
+    assert dp == box_product((6, 6, 6))
+    assert sum(dp.coeffs) == partitions._box_count(6, 6, 6)
+    assert box_partition_polynomial_dp((1, 1, 1)).coeffs == (1, 1)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.tuples(*[st.integers(1, 6)] * 3).filter(lambda v: math.prod(v) <= 72))
 def test_dp_properties(v):

@@ -170,6 +170,20 @@ def test_macmahon_matches_inverse_power_product():
     assert [m[n] for n in range(13)] == [golden[n] for n in range(13)]
 
 
+def test_macmahon_matches_sigma2_recurrence():
+    # n * M_n = sum_k sigma_2(k) * M_(n-k), a route that shares nothing with
+    # the packed product; M_n <= 3^n is the bound the packing width rests on
+    order = 200
+    sigma2 = [sum(d * d for d in range(1, k + 1) if k % d == 0) for k in range(order + 1)]
+    want = [1]
+    for n in range(1, order + 1):
+        want.append(sum(sigma2[k] * want[n - k] for k in range(1, n + 1)) // n)
+    m = macmahon(order)
+    assert list(m.coeffs) == want
+    assert all(c <= 3 ** n for n, c in enumerate(m.coeffs))
+    assert macmahon(0).coeffs == (1,) and macmahon(1).coeffs == (1, 1)
+
+
 def test_box_product_matches_quotient_of_products():
     for v in itertools.product(range(1, 5), repeat=3):
         v1, v2, v3 = v

@@ -206,14 +206,17 @@ def test_cli_verify_pass_and_json(tmp_path, capsys):
 
 def test_cli_json_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     # a missing directory or a directory in place of the file: the error
-    # on stderr, exit 2, no traceback
+    # on stderr, exit 2, no traceback, and the claim never runs
     argv = ["verify", "product", "--v", "1", "1", "1", "--order", "3", "--json"]
     for path, reason in [(tmp_path / "missing" / "x.json", "No such file"),
                          (tmp_path, "Is a directory")]:
         assert cli_main(argv + [str(path)]) == 2
         out, err = capsys.readouterr()
-        assert "status=PASS" in out
+        assert out == ""
         assert err.startswith("invalid parameters: --json:") and reason in err
+    # a claim that raises leaves no file behind
+    assert cli_main(argv[:-2] + ["9", "--json", str(tmp_path / "x.json")]) == 1
+    assert "guard exceeded" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
