@@ -61,6 +61,18 @@ class GuardExceeded(RuntimeError):
     """An enumeration was asked to exceed its configured size guard."""
 
 
+def _guarded(n, guard, what: str) -> int:
+    """n, checked against guard before any work: both must be ints >= 0
+    (not bools), else ValueError, and n above guard raises GuardExceeded
+    with the message "{what} <= {guard}"."""
+    n = _series_order(n)
+    if type(guard) is not int or guard < 0:
+        raise ValueError(f"guard must be an int >= 0, got {guard!r}")
+    if n > guard:
+        raise GuardExceeded(f"{what} <= {guard}")
+    return n
+
+
 @dataclass(frozen=True)
 class PlanePartition:
     """Height-matrix form of a plane partition.
@@ -198,12 +210,10 @@ def enumerate_plane_partitions(
     """All plane partitions of n, sorted by height matrix.
 
     Exhaustive, so intended for n up to about 12; larger n raises
-    GuardExceeded unless the guard is raised explicitly.  n must be an
-    int >= 0 (not a bool), else ValueError.
+    GuardExceeded unless the guard is raised explicitly.  n and guard
+    must be ints >= 0 (not bools), else ValueError.
     """
-    n = _series_order(n)
-    if n > guard:
-        raise GuardExceeded(f"plane partition enumeration guarded at n <= {guard}")
+    n = _guarded(n, guard, "plane partition enumeration guarded at n")
     found = [
         PlanePartition(rows)
         for rows, total in _stacks((n,) * n, n, n)
@@ -454,13 +464,11 @@ def count_partition_pairs(order: int, guard: int = PLANE_PARTITION_GUARD) -> lis
     pairs (P, Q) with |P| + |Q| = n.  One walk visits every plane
     partition of size <= order and buckets it by size, and the pair
     counts are the convolution of those buckets; this is the brute-force
-    reference for the coefficients of macmahon^2.  order must be an int
-    >= 0 (not a bool), else ValueError; above guard it raises
+    reference for the coefficients of macmahon^2.  order and guard must
+    be ints >= 0 (not bools), else ValueError; above guard it raises
     GuardExceeded before any work.
     """
-    order = _series_order(order)
-    if order > guard:
-        raise GuardExceeded(f"pair counting guarded at order <= {guard}")
+    order = _guarded(order, guard, "pair counting guarded at order")
     counts = _counts_by_total(_stacks((order,) * order, order, order), order)
     return [
         sum(counts[k] * counts[n - k] for k in range(n + 1))

@@ -57,8 +57,8 @@ the memo and the orientation.
 The tests' reference shares no code with the walk, only the closed forms
 of ``ReflexiveParams``: ``enumerate_coprofiles`` lists every coprofile
 of one colength, the set closure of the reachability rule, and
-``profile_constraint_system`` builds each one's system with
-``_target_rule`` on predecessors read from ``dim_at`` and
+``profile_constraint_system`` builds each one's system by its own
+containment rule, on predecessors read from ``dim_at`` and
 ``image_line``; the tests' field oracle recounts it over prime fields.
 Everything is exact integer arithmetic, and enumeration and walk depth
 are guarded at colength ``COLENGTH_GUARD``.
@@ -70,7 +70,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .partitions import GuardExceeded
+from .partitions import _guarded
 # bound here for perfbench/spans.TARGETS, which tests/test_bench_bindings.py checks
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix  # noqa: F401
 from .reflexive import _cone_mask
@@ -149,9 +149,8 @@ def _window_base(params: ReflexiveParams, order: int) -> int:
 
 
 def _check_order(order, guard: int) -> None:
-    """A search's colength bound must be an int >= 0 and at most guard."""
-    if _series_order(order) > guard:
-        raise GuardExceeded(f"stratum search guarded at colength <= {guard}")
+    """A search's colength bound must be at most guard, both ints >= 0."""
+    _guarded(order, guard, "stratum search guarded at colength")
 
 
 def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofile]:
@@ -204,47 +203,18 @@ class ConstraintSystem:
     infeasible: bool = False
 
 
-def _target_rule(preds, free_t: int, drops: dict[Weight, int]):
-    """Decide the conditions x_k F_{w - e_k} <= F_w for one target w.
-
-    preds lists (w - e_k, its fiber dimension, image line) for each k whose
-    fiber is nonzero, the image line the one x_k carries that fiber to if
-    it is 1-dimensional and the fiber at w 2-dimensional, else None, and
-    free_t = dim(w) - drop(w).  Every multiplication map has rank equal to
-    its source dimension, so only dimensions decide the outcome: a full
-    1-dimensional source forces a free target line to its image, a free
-    line source links to a free target line, and any other nonzero source
-    leaves too little room in the target.  Returns (forced line or None,
-    link sources, infeasible); a second, different forced line makes the
-    target infeasible and the first one is kept.  Only the drops at the
-    predecessors are read.
-    """
-    forced = None
-    sources = []
-    infeasible = False
-    for ws, ds, image in preds:
-        cs = drops.get(ws, 0)
-        if ds == cs:
-            continue  # fully removed source fiber, no condition
-        if free_t == 1 and ds == 1:
-            if forced is None:
-                forced = image
-            elif forced != image:
-                infeasible = True
-        elif free_t == 1 and cs == 1:
-            sources.append(ws)
-        else:
-            infeasible = True
-    return forced, sources, infeasible
-
-
 def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     """Build the constraint system of one coprofile.
 
     For every support weight w and direction k the multiplication map from
-    w - e_k must carry F_{w-e_k} into F_w; ``_target_rule`` decides the
-    conditions of each target, on predecessors read from the closed forms
-    ``ReflexiveParams.dim_at`` and ``image_line``.
+    w - e_k must carry F_{w-e_k} into F_w, with dimensions read from the
+    closed form ``ReflexiveParams.dim_at``.  Every multiplication map has
+    rank equal to its source dimension, so only dimensions decide: a zero
+    or fully removed source sets no condition; when F_w is a line, a full
+    1-dimensional source forces it to ``image_line(k)`` (a second,
+    different forced line makes the stratum infeasible, the first stays in
+    fixed_lines) and a line source is linked to it; any other source
+    leaves too little room in F_w.
     """
     params = ReflexiveParams.of(v)
     drops = profile.as_dict()
@@ -257,18 +227,23 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
         d = params.dim_at(*w)
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
-        if d == 2 and c == 1:
+        line = d - c == 1  # F_w is a line: d = 2, c = 1
+        if line:
             variables.append(w)
-        preds = []
         for k, e in enumerate(_E, 1):
             ws = tuple(map(int.__sub__, w, e))
-            if min(ws) >= 0 and (ds := params.dim_at(*ws)):
-                preds.append((ws, ds, params.image_line(k) if (ds, d) == (1, 2) else None))
-        forced, sources, bad = _target_rule(preds, d - c, drops)
-        if forced is not None:
-            fixed[w] = forced
-        links.extend((ws, w) for ws in sources)
-        infeasible = infeasible or bad
+            ds = params.dim_at(*ws) if min(ws) >= 0 else 0
+            cs = drops.get(ws, 0)
+            if ds == cs:
+                continue
+            if line and ds == 1:
+                image = params.image_line(k)
+                if fixed.setdefault(w, image) != image:
+                    infeasible = True  # a second, different forced line
+            elif line and cs == 1:
+                links.append((ws, w))
+            else:
+                infeasible = True
 
     return ConstraintSystem(
         tuple(sorted(variables)), fixed, tuple(sorted(links)), infeasible
@@ -360,14 +335,15 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     value computed with free set to the open unforced components, those
     with a layer-a member; each closed one, which no later link can reach,
     doubles the caller's copy.  A pair that makes a clash is skipped, as
-    chi is 0 on its subtree, and a leaf adds 2^free without a node.  Every
-    child of a node with one unit of drop left is a leaf, and a full drop
-    changes neither free nor clash, so such a node adds its full drops'
-    popcount shifted by free, walks only its lines, and builds no key.
+    chi is 0 on its subtree, and a line leaf (no drop left after it) adds
+    its 2^free without a node; no other leaf does.  Every child of a node
+    with one unit of drop left is a leaf, and a full drop changes neither
+    free nor clash, so such a node adds its full drops' popcount shifted
+    by free, walks only its lines, and builds no key.
 
     With visit, it lists the strata: visit(path, drop, chi) at each node
     in pre-order (lex order of the entries, packed in path), the memo
-    off, clash pairs followed with chi = 0 and leaves made nodes.
+    off, clash pairs followed with chi = 0 and line leaves made nodes.
     """
     base = _window_base(params, order)
     layer_size = base * base
@@ -414,9 +390,6 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
                         path.pop()
                     remove_variable(x, merges)
             if low & full_at and (c := 2 if low & d2 else 1) <= left:
-                if c == left and not visit:
-                    out[shift + c] += 1 << free
-                    continue
                 path.append((x, c))
                 node(x, left - c, full | low, held | low, free, clash, out, shift + c)
                 path.pop()
@@ -449,8 +422,6 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
         full_in, line_in = full_at & (1 << split) - 1, line_at & (1 << split) - 1
         children(full_in, line_in, left, full, held, free, clash, out, shift)
         full_at, line_at = full_at ^ full_in, line_at ^ line_in
-        if not full_at | line_at:
-            return
         layer = tuple(path[len(path) - (held >> split - layer_size).bit_count() :])
         roots: dict[int, int] = {}
         labels = []

@@ -17,6 +17,8 @@ rejects each is ``test_listing_rejects_walk_mutant``, the summary at
 (1, 1, 1), n = 5 against the reference listing.  The mutants of the
 walk's line rule change both walks, so each is rejected by the claim and
 again by the reference listing, whose rule shares no code with the walk.
+The check runs the other way too: a mutant of the reference's rule makes
+the reference listing differ from the walk's, first at the listed n.
 """
 
 import contextlib
@@ -28,7 +30,6 @@ import pytest
 
 import quotbox.quotfixed
 import quotbox.verify
-from quotbox.quotfixed import enumerate_coprofiles, profile_constraint_system, stratum_euler
 from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
 
@@ -89,7 +90,8 @@ MUTANTS = {
 }
 
 # the mutants of the walk's line rule, which the reference listing must
-# also reject: its systems come from _target_rule, not from the walk
+# also reject: its systems come from the containment rule written out in
+# profile_constraint_system, not from the walk
 RULE_MUTANTS = (
     "a forced predecessor ignored",
     "a P predecessor not linked",
@@ -108,6 +110,21 @@ WALK_MUTANTS = {
         "node(x, left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)),"
         " out, shift + 1)",
     ),
+}
+
+
+# label: (snippet, replacement, first n at which the reference listing at
+# (1, 1, 1) differs from the walk's) of the reference's containment rule,
+# so that the walk can reject a faulty reference too
+REFERENCE_MUTANTS = {
+    "a forced line not recorded": ("fixed.setdefault(w, image)", "fixed.get(w, image)", 2),
+    "a second forced line not compared": (
+        "infeasible = True  # a second, different forced line", "pass", 2,
+    ),
+    "a full 1-dimensional source into a line read as no condition": (
+        "image = params.image_line(k)", "continue", 2,
+    ),
+    "a link source dropped": ("links.append((ws, w))", "pass", 5),
 }
 
 
@@ -131,12 +148,17 @@ def listing(module, v, n):
     return [(r.coprofile.entries, r.euler) for r in module.fixed_locus_summary(v, n).strata]
 
 
+def reference(module, v, n):
+    """(entries, chi) of every coprofile of colength n whose reference
+    system in module is not infeasible, in lex order of the entries."""
+    systems = ((p, module.profile_constraint_system(v, p))
+               for p in module.enumerate_coprofiles(v, n))
+    return [(p.entries, module.stratum_euler(cs)) for p, cs in systems if not cs.infeasible]
+
+
 @functools.cache  # the listing is only compared, never changed
 def reference_listing(v, n):
-    """(entries, chi) of every coprofile of colength n whose reference
-    system is not infeasible, in lex order of the entries."""
-    systems = ((p, profile_constraint_system(v, p)) for p in enumerate_coprofiles(v, n))
-    return [(p.entries, stratum_euler(cs)) for p, cs in systems if not cs.infeasible]
+    return reference(quotbox.quotfixed, v, n)
 
 
 @pytest.mark.parametrize("label", MUTANTS)
@@ -192,3 +214,12 @@ def test_listing_rejects_rule_mutant(label):
     with mutant(snippet, replacement) as module:
         got = listing(module, (1, 1, 1), 5)
     assert got != reference_listing((1, 1, 1), 5)
+
+
+@pytest.mark.parametrize("label", REFERENCE_MUTANTS)
+def test_walk_rejects_reference_mutant(label):
+    snippet, replacement, n = REFERENCE_MUTANTS[label]
+    with mutant(snippet, replacement) as module:
+        got = [reference(module, (1, 1, 1), m) for m in (n - 1, n)]
+    walk = [listing(quotbox.quotfixed, (1, 1, 1), m) for m in (n - 1, n)]
+    assert got[0] == walk[0] and got[1] != walk[1]

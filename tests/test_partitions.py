@@ -39,6 +39,12 @@ def test_enumeration_guard():
     for bad in (-1, True, False, 2.5):
         with pytest.raises(ValueError):
             enumerate_plane_partitions(bad)
+    # a guard must be an int >= 0 as well, checked before any work
+    for bad in (-1, 2.5, 12.0, "12", None, True, False):
+        with pytest.raises(ValueError, match="guard"):
+            enumerate_plane_partitions(1, guard=bad)
+        with pytest.raises(ValueError, match="guard"):
+            count_partition_pairs(1, guard=bad)
 
 
 def test_enumeration_is_sorted_and_unique():

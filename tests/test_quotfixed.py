@@ -426,6 +426,13 @@ def test_guards(monkeypatch):
             quot_fixed_euler((1, 1, 1), bad)
         with pytest.raises(ValueError):
             fixed_locus_summary((1, 1, 1), bad)
+    # so is the guard, an int >= 0 like the order
+    entry_points = (quot_series, quot_fixed_euler, fixed_locus_summary,
+                    enumerate_coprofiles, verify_product_formula)
+    for bad in (-1, 2.5, 5.0, "5", None, True, False):
+        for f in entry_points:
+            with pytest.raises(ValueError, match="guard"):
+                f((1, 1, 1), 1, guard=bad)
 
 
 def test_search_and_transfer_leave_no_cycles():

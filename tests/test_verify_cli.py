@@ -267,6 +267,11 @@ def test_cli_bad_values_are_usage_errors(capsys):
     assert cli_main(["count", "box", "--v", "1", "1", "1", "--n", "-1"]) == 2
     assert cli_main(["count", "box", "--v", "0", "1", "1", "--n", "0"]) == 2
     capsys.readouterr()
+    # a guard below 0 is a bad value, not an exceeded guard
+    for argv in (["quot", "series", "--v", "1", "1", "1", "--order", "3"],
+                 ["count", "pp", "3"], ["verify", "rank2free", "--order", "3"]):
+        assert cli_main(argv + ["--guard", "-1"]) == 2, argv
+        assert capsys.readouterr().err.startswith("invalid parameters: guard")
 
 
 def test_python_m_runs_the_cli():
