@@ -34,22 +34,24 @@ only the drops at w - e_k, earlier in lex order, so they are decided when
 (w, c) is added, and an infeasible pair is cut with its subtree; every
 lex-order prefix of a consistent stratum is consistent, so the walk
 visits exactly the consistent strata.  A set of weights is an int used
-as a bitmask over packed weights (see ``_window_base``): a node's
+as a bitmask over packed weights in a window read off
+``ReflexiveParams.generator_weights`` (see ``_window``): a node's
 candidates are a few shifts of its branch's masks against those of
 ``ReflexiveParams.fiber_masks``, and a line's links and forced lines are
 read off the same masks, the lines from ``ReflexiveParams.image_line``;
-the walk reads nothing else of R0.  The branch's links and forced lines
-live in ``_Components``, a union-find with undo that counts the unforced
+the walk reads nothing else of R0 but v1, the last x1-layer that holds
+a generator.  The branch's links and forced lines live in
+``_Components``, a union-find with undo that counts the unforced
 components and notes a clash, so each node's Euler characteristic is
 known without a constraint system.
 
 ``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
 x1-layer boundaries, on v sorted descending so that the layers cut the
-longest side: permuting coordinates is a torus-equivariant isomorphism
-R0(v) = R0(sigma v).  It is not always the fastest orientation: at
-order 12 it beats ascending order about 1.4 times on (3,2,1), (2,1,1)
-and (3,1,1), but (3,1,2) beats (3,2,1) about 1.15 times, and (3,3,2)
-against (2,3,3) is within the noise (see the README).
+longest side and a layer, n2*n3 bits, is smallest: permuting coordinates
+is a torus-equivariant isomorphism R0(v) = R0(sigma v).  At order 12 it
+is the fastest orientation or level with it on (3,2,1), (2,1,1) and
+(3,1,1), 1.2 to 1.5 times faster than ascending order; at order 5 the
+orientations of an elongated box are within about 10% (see the README).
 ``fixed_locus_summary`` lists the nodes of the same walk with the memo
 off, on the caller's v, so its total against ``quot_fixed_euler`` checks
 the memo and the orientation.
@@ -131,21 +133,26 @@ class Coprofile:
         return cls(tuple(_json_list(e, "a coprofile entry") for e in entries))
 
 
-def _unpack(x: int, base: int) -> Weight:
-    return (x // (base * base), x // base % base, x % base)
+def _unpack(x: int, window: Weight) -> Weight:
+    _, n2, n3 = window
+    return (x // (n2 * n3), x // n3 % n2, x % n3)
 
 
-def _window_base(params: ReflexiveParams, order: int) -> int:
-    """The packing base B of a search to this order.
+def _window(params: ReflexiveParams, order: int) -> Weight:
+    """The packing window (n1, n2, n3) of a search to this order.
 
-    The search keys w as x = (w1*B + w2)*B + w3 and as bit x of a mask,
-    exact and in lex order while w2, w3 < B; x + 1, x + B, x + B^2 are its
-    successors and x // B^2 its x1-layer.  A weight of a stratum of
-    colength <= order is at most order - 1 steps above a generator weight,
-    so the window [0, B)^3, B = max(v) + order (at least max(v) + 1),
-    holds every weight the search reads.
+    The search keys w as x = (w1*n2 + w2)*n3 + w3 and as bit x of a mask,
+    exact and in lex order while w2 < n2 and w3 < n3; x + 1, x + n3 and
+    x + n2*n3 are its successors and x // (n2*n3) its x1-layer.  A weight
+    of a stratum of colength <= order is at most order - 1 steps above a
+    generator weight, so its k-th coordinate is at most v_k + order - 1,
+    with v_k the largest k-th coordinate of a generator; the window
+    [0, n1) x [0, n2) x [0, n3), n_k = v_k + order (at least v_k + 1),
+    holds every weight the search reads.  Each bound is reached, by a
+    chain of drops up from a generator.
     """
-    return max(params) + max(order, 1)
+    n1, n2, n3 = (max(c) + max(order, 1) for c in zip(*params.generator_weights()))
+    return n1, n2, n3
 
 
 def _check_order(order, guard: int) -> None:
@@ -317,7 +324,7 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     line variables.  bad marks the weights with a predecessor of nonzero
     fiber outside F, badline those with one of 2-dimensional fiber outside
     F | P: unions of shifts by step_k, bad less the bits a shift wraps from
-    w_k = B - 1 to w_k = 0 (badline is read only on D2, where w_k > 0).  A
+    w_k = n_k - 1 to w_k = 0 (badline is read only on D2, where w_k > 0).  A
     full drop at x is allowed iff x is not in bad.  A line must be outside
     badline, and then each predecessor x - step_k, a nonzero fiber as x is
     on the cone w >= v, is read off the masks: in F it sets no condition,
@@ -345,16 +352,17 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     in pre-order (lex order of the entries, packed in path), the memo
     off, clash pairs followed with chi = 0 and line leaves made nodes.
     """
-    base = _window_base(params, order)
-    layer_size = base * base
+    window = _window(params, order)
+    n1, n2, n3 = window
+    layer_size = n2 * n3
     # a line's predecessors: the step to each, and the line x_k carries it to
-    preds = tuple(zip((layer_size, base, 1), map(params.image_line, (1, 2, 3))))
-    d1, d2 = params.fiber_masks(base)
+    preds = tuple(zip((layer_size, n3, 1), map(params.image_line, (1, 2, 3))))
+    d1, d2 = params.fiber_masks(window)
     # (D1|D2, D1, D2) to layer max(a + 1, v1), the last that can hold a candidate
-    keeps = ((1 << max(t, params.v1 + 1) * layer_size) - 1 for t in range(base + 2))
+    keeps = ((1 << max(t, params.v1 + 1) * layer_size) - 1 for t in range(n1 + 2))
     cuts = [((d1 | d2) & keep, d1 & keep, d2 & keep) for keep in keeps]
-    # w2 > 0 and w3 > 0, where shifts by B and 1 do not wrap (B^2 cannot)
-    row, col = _cone_mask((0, 1, 0), base), _cone_mask((0, 0, 1), base)
+    # w2 > 0 and w3 > 0, where shifts by n3 and 1 do not wrap (n2*n3 cannot)
+    row, col = _cone_mask((0, 1, 0), window), _cone_mask((0, 0, 1), window)
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
     find, parent, line = comps.find, comps.parent, comps.line
@@ -406,9 +414,9 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
         above = last + 1
         nonzero, ones, twos = cuts[last // layer_size + 2]
         bad = nonzero ^ full
-        bad = bad << layer_size | (bad << base) & row | (bad << 1) & col
+        bad = bad << layer_size | (bad << n3) & row | (bad << 1) & col
         badline = twos & ~held
-        badline = badline << layer_size | badline << base | badline << 1
+        badline = badline << layer_size | badline << n3 | badline << 1
         full_at = (nonzero & ~bad) >> above << above
         line_at = (twos & ~badline) >> above << above
         if visit or last < 0:  # no memo in the listing, no layer to split at the root
@@ -543,12 +551,12 @@ def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSum
     """
     params = ReflexiveParams.of(v)
     _check_order(n, guard)
-    base = _window_base(params, n)
+    window = _window(params, n)
     records = []
 
     def visit(path, drop, chi):
         if drop == n:
-            entries = [(_unpack(x, base), c) for x, c in path]
+            entries = [(_unpack(x, window), c) for x, c in path]
             records.append(StratumRecord(Coprofile(entries), chi))
 
     _layer_transfer(params, n, visit)

@@ -100,21 +100,23 @@ class ReflexiveParams:
         e3 is (-1, -1)."""
         return _IMAGE_LINES[k]
 
-    def fiber_masks(self, base: int) -> tuple[int, int]:
-        """Bitmasks D1, D2 of the weights in [0, base)^3 whose fiber has
-        dimension 1 and 2 (see ``_cone_mask``): D2 is the cone w >= v, D1
-        the union of the cones w >= g_i minus D2."""
-        d2 = _cone_mask(self.triple, base)
-        c1, c2, c3 = (_cone_mask(g, base) for g in self.generator_weights())
+    def fiber_masks(self, window: Weight) -> tuple[int, int]:
+        """Bitmasks D1, D2 of the weights in the window [0, n1) x [0, n2) x
+        [0, n3) whose fiber has dimension 1 and 2 (see ``_cone_mask``): D2
+        is the cone w >= v, D1 the union of the cones w >= g_i minus D2."""
+        d2 = _cone_mask(self.triple, window)
+        c1, c2, c3 = (_cone_mask(g, window) for g in self.generator_weights())
         return (c1 | c2 | c3) & ~d2, d2
 
 
-def _cone_mask(lo: Weight, base: int) -> int:
-    """Bitmask of the weights w >= lo in [0, base)^3, bit (w1*base + w2)*base
-    + w3 for w: a product of one run of bits per coordinate, with no carry."""
+def _cone_mask(lo: Weight, window: Weight) -> int:
+    """Bitmask of the weights w >= lo in the window [0, n1) x [0, n2) x
+    [0, n3), bit (w1*n2 + w2)*n3 + w3 for w: a product of one run of bits
+    per coordinate, with no carry."""
+    _, n2, n3 = window
     mask = 1
-    for low, step in zip(lo, (base * base, base, 1)):
-        run = ((1 << base * step) - 1) // ((1 << step) - 1)  # base digits, all 1
+    for low, n, step in zip(lo, window, (n2 * n3, n3, 1)):
+        run = ((1 << n * step) - 1) // ((1 << step) - 1)  # n digits, all 1
         mask *= run >> low * step << low * step
     return mask
 

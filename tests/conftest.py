@@ -1,6 +1,6 @@
 import os
 
-from quotbox.quotfixed import _layer_transfer, _unpack, _window_base
+from quotbox.quotfixed import _layer_transfer, _unpack, _window
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -42,11 +42,11 @@ def load_coeff_table(name):
 def consistent_strata(params, order):
     """The strata the engine's walk lists for params through order, as
     (entries, drop, χ) in pre-order, the entries decoded to weights."""
-    base = _window_base(params, order)
+    window = _window(params, order)
     out = []
 
     def visit(path, drop, chi):
-        out.append((tuple((_unpack(x, base), c) for x, c in path), drop, chi))
+        out.append((tuple((_unpack(x, window), c) for x, c in path), drop, chi))
 
     _layer_transfer(params, order, visit)
     return out

@@ -51,15 +51,31 @@ MUTANTS = {
         11,
     ),
     "packing base one low": (
-        "return max(params) + max(order, 1)",
-        "return max(params) + max(order, 1) - 1",
+        "max(c) + max(order, 1) for c",
+        "max(c) + max(order, 1) - 1 for c",
         (1, 1, 1),
         1,
         1,
     ),
+    "packing base one low from order 2 on": (
+        "max(c) + max(order, 1) for c",
+        "max(c) + max(order - 1, 1) for c",
+        (1, 1, 1),
+        2,
+        2,
+    ),
+    "packing base one low in w1 only": (
+        "return n1, n2, n3", "return n1 - 1, n2, n3", (1, 1, 1), 1, 1,
+    ),
+    "packing base one low in w2 only": (
+        "return n1, n2, n3", "return n1, n2 - 1, n3", (1, 1, 1), 1, 1,
+    ),
+    "packing base one low in w3 only": (
+        "return n1, n2, n3", "return n1, n2, n3 - 1", (1, 1, 1), 1, 1,
+    ),
     "wrap bits not cleared in bad": (
-        "bad = bad << layer_size | (bad << base) & row | (bad << 1) & col",
-        "bad = bad << layer_size | bad << base | bad << 1",
+        "bad = bad << layer_size | (bad << n3) & row | (bad << 1) & col",
+        "bad = bad << layer_size | bad << n3 | bad << 1",
         (1, 1, 1),
         1,
         1,

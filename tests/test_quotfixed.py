@@ -375,9 +375,10 @@ def test_quot_series_slices_the_longest_side(monkeypatch):
 
 
 def test_packing_base_does_not_alias():
-    # on elongated triples a weight's coordinates reach the packing base
-    # soonest; an aliased weight drops or doubles strata, which the closed
-    # form and the strict order of the search's entries both expose
+    # on elongated triples the packing window is far from a cube, so a row
+    # or layer stride read off the wrong coordinate shows soonest; an
+    # aliased weight drops or doubles strata, which the closed form and the
+    # strict order of the search's entries both expose
     for v in [(1, 1, 8), (8, 2, 1)]:
         for perm in set(itertools.permutations(v)):
             params = ReflexiveParams(*perm)
@@ -451,7 +452,7 @@ def test_search_and_transfer_leave_no_cycles():
 
 def _count_mask_reads(monkeypatch):
     # the walk never asks for one weight's fiber dimension: dim_at is
-    # patched to raise, and each fiber_masks call is recorded by its base
+    # patched to raise, and each fiber_masks call is recorded by its window
     def no_dim_at(params, *w):
         raise AssertionError("the walk read dim_at")
 
@@ -460,31 +461,60 @@ def _count_mask_reads(monkeypatch):
     monkeypatch.setattr(ReflexiveParams, "dim_at", no_dim_at)
     monkeypatch.setattr(
         ReflexiveParams, "fiber_masks",
-        lambda params, base: masks.append(base) or fiber_masks(params, base),
+        lambda params, window: masks.append(window) or fiber_masks(params, window),
     )
     return masks
 
 
+def _packing_window(v, order):
+    # one bound per coordinate, not the longest side in all three
+    return tuple(vk + order for vk in v)
+
+
 def test_summary_reads_one_fiber_table(monkeypatch):
-    # one set of masks for the whole search, not a fresh read per stratum
+    # one set of masks for the whole search, not a fresh read per stratum,
+    # on the packing window of the caller's v
     masks = _count_mask_reads(monkeypatch)
-    for v, order in [((1, 1, 1), 5), ((1, 2, 3), 4)]:
+    for v, order in [((1, 1, 1), 5), ((1, 2, 3), 4), ((1, 1, 8), 3)]:
         masks.clear()
         assert fixed_locus_summary(v, order).total == quot_closed_form(v, order)[order]
-        assert len(masks) == 1
+        assert masks == [_packing_window(v, order)]
 
 
 def test_each_series_call_builds_its_own_table(monkeypatch):
-    # no masks survive a call: a repeated call reads the module again
+    # no masks survive a call: a repeated call reads the module again, on
+    # the packing window of v sorted descending
     masks = _count_mask_reads(monkeypatch)
     first = quot_series((1, 2, 3), 4)
     assert first == quot_closed_form((1, 2, 3), 4)
-    assert len(masks) == 1
+    assert masks == [_packing_window((3, 2, 1), 4)]
     assert quot_series((1, 2, 3), 4) == first
     assert masks == masks[:1] * 2
     masks.clear()
     assert quot_series((1, 1, 1), 5) == quot_closed_form((1, 1, 1), 5)
-    assert len(masks) == 1
+    assert masks == [_packing_window((1, 1, 1), 5)]
+
+
+def test_packing_window_is_tight():
+    # every weight of a colength-n stratum has w_k <= v_k + n - 1, the
+    # window's last coordinate, and some stratum reaches it in each
+    # coordinate: the chain up from g1 = (v1, v2, 0) along e1 or e2, or
+    # from g2 = (v1, 0, v3) along e3, one unit of drop at each weight
+    for v in GRID:
+        for n in range(1, 6):
+            top = tuple(vk + n - 1 for vk in v)
+            strata = {r.coprofile.entries for r in fixed_locus_summary(v, n).strata}
+            reached = [0, 0, 0]
+            for entries in strata:
+                for w, _ in entries:
+                    assert all(wk <= t for wk, t in zip(w, top)), (v, n, w)
+                    reached = list(map(max, reached, w))
+            assert tuple(reached) == top, (v, n)
+            for k, g in [(0, (v[0], v[1], 0)), (1, (v[0], v[1], 0)), (2, (v[0], 0, v[2]))]:
+                chain = tuple(
+                    (tuple(gi + i * (j == k) for j, gi in enumerate(g)), 1) for i in range(n)
+                )
+                assert chain in strata, (v, n, k)
 
 
 def test_summary_structure_and_json():

@@ -16,7 +16,7 @@ from quotbox.reflexive import (
     sing_ideal,
 )
 from quotbox.reflexive import DimCheckEntry, DimCheckReport
-from quotbox.quotfixed import _window_base, quot_series
+from quotbox.quotfixed import _window, quot_series
 
 
 def window(hi):
@@ -95,16 +95,16 @@ def test_fiber_dim_matches_fiber():
 
 @pytest.mark.parametrize("v", GRID + [(1, 1, 8), (8, 2, 1)])
 def test_fiber_masks_match_dim_at(v):
-    # every weight of the window, at the packing base of each order 0 .. 8,
-    # and no bit past the window
+    # every weight of the packing window of each order 0 .. 8, and no bit
+    # past the window
     params = ReflexiveParams(*v)
     for order in range(9):
-        base = _window_base(params, order)
-        d1, d2 = params.fiber_masks(base)
-        for x, w in enumerate(itertools.product(range(base), repeat=3)):
+        n1, n2, n3 = _window(params, order)
+        d1, d2 = params.fiber_masks((n1, n2, n3))
+        for x, w in enumerate(itertools.product(range(n1), range(n2), range(n3))):
             dim = params.dim_at(*w)
             assert (d1 >> x & 1, d2 >> x & 1) == (dim == 1, dim == 2), (order, w)
-        assert (d1 | d2) >> base**3 == 0
+        assert (d1 | d2) >> n1 * n2 * n3 == 0
 
 
 def test_present_never_two():
