@@ -39,11 +39,11 @@ as a bitmask over packed weights in a window read off
 candidates are a few shifts of its branch's masks against those of
 ``ReflexiveParams.fiber_masks``, and a line's links and forced lines are
 read off the same masks, the lines from ``ReflexiveParams.image_line``;
-the walk reads nothing else of R0 but v1, the last x1-layer that holds
-a generator.  The branch's links and forced lines live in
-``_Components``, a union-find with undo that counts the unforced
-components and notes a clash, so each node's Euler characteristic is
-known without a constraint system.
+the walk reads nothing else of R0.  The masks are all it keeps of a
+branch, as a drop is 2 exactly at a full drop on a 2-dimensional fiber;
+the links and forced lines live in ``_Components``, a union-find with
+undo that counts the unforced components and notes a clash, so each
+node's Euler characteristic is known without a constraint system.
 
 ``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
 x1-layer boundaries, on v sorted descending so that the layers cut the
@@ -133,9 +133,16 @@ class Coprofile:
         return cls(tuple(_json_list(e, "a coprofile entry") for e in entries))
 
 
-def _unpack(x: int, window: Weight) -> Weight:
+def _entries(held: int, doubles: int, window: Weight) -> list[tuple[Weight, int]]:
+    """A branch's (weight, drop) entries in lex order: a weight at each bit
+    of held, lowest first, its drop 2 at the bits of doubles, else 1."""
     _, n2, n3 = window
-    return (x // (n2 * n3), x // n3 % n2, x % n3)
+    entries = []
+    while held:
+        x = (held & -held).bit_length() - 1
+        held &= held - 1
+        entries.append(((x // (n2 * n3), x // n3 % n2, x % n3), 1 + (doubles >> x & 1)))
+    return entries
 
 
 def _window(params: ReflexiveParams, order: int) -> Weight:
@@ -337,7 +344,8 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     after them sees of the branch only the layer-a entries (its masks read
     F and P there at the earliest, its links reach the branch only through
     layer-a line variables).  So the tail is memoised under the key (the
-    layer-a entries, the components of the layer-a line variables in
+    first bit of layer a, the layer-a entries as F | P and F shifted down
+    by it, the components of the layer-a line variables, lowest first, in
     canonical labels with each one's forced line, remaining drop), its
     value computed with free set to the open unforced components, those
     with a layer-a member; each closed one, which no later link can reach,
@@ -348,9 +356,9 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     free nor clash, so such a node adds its full drops' popcount shifted
     by free, walks only its lines, and builds no key.
 
-    With visit, it lists the strata: visit(path, drop, chi) at each node
-    in pre-order (lex order of the entries, packed in path), the memo
-    off, clash pairs followed with chi = 0 and line leaves made nodes.
+    With visit, it lists the strata: visit(F | P, F & D2, drop, chi) at each
+    node in pre-order (``_entries`` reads the entries off the two masks),
+    the memo off, clash pairs followed with chi = 0 and line leaves made nodes.
     """
     window = _window(params, order)
     n1, n2, n3 = window
@@ -358,18 +366,18 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     # a line's predecessors: the step to each, and the line x_k carries it to
     preds = tuple(zip((layer_size, n3, 1), map(params.image_line, (1, 2, 3))))
     d1, d2 = params.fiber_masks(window)
+    v1 = max(w1 for w1, _, _ in params.generator_weights())  # the last generator layer
     # (D1|D2, D1, D2) to layer max(a + 1, v1), the last that can hold a candidate
-    keeps = ((1 << max(t, params.v1 + 1) * layer_size) - 1 for t in range(n1 + 2))
+    keeps = ((1 << max(t, v1 + 1) * layer_size) - 1 for t in range(n1 + 2))
     cuts = [((d1 | d2) & keep, d1 & keep, d2 & keep) for keep in keeps]
     # w2 > 0 and w3 > 0, where shifts by n3 and 1 do not wrap (n2*n3 cannot)
     row, col = _cone_mask((0, 1, 0), window), _cone_mask((0, 0, 1), window)
     comps = _Components()
     add_variable, remove_variable = comps.add_variable, comps.remove_variable
-    find, parent, line = comps.find, comps.parent, comps.line
-    path: list[tuple[int, int]] = []  # the branch's entries, in order
+    find, line = comps.find, comps.line
     memo: dict[tuple, list[int]] = {}
 
-    def children(full_at, line_at, left, full, held, free, clash, out, shift):
+    def children(full_at, line_at, left, full, held, free, clash, out):
         """Walk a full drop at each bit of full_at, a line at each of line_at."""
         m = full_at | line_at
         while m:
@@ -391,69 +399,66 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
                 else:
                     merges, f, cl = add_variable(x, forced, sources, free, clash)
                     if left == 1 and not visit:  # a leaf: no drop left for children
-                        out[shift + 1] += 0 if cl else 1 << f
+                        out[-1] += 0 if cl else 1 << f
                     elif not cl or visit:
-                        path.append((x, 1))
-                        node(x, left - 1, full, held | low, f, cl, out, shift + 1)
-                        path.pop()
+                        node(left - 1, full, held | low, f, cl, out)
                     remove_variable(x, merges)
             if low & full_at and (c := 2 if low & d2 else 1) <= left:
-                path.append((x, c))
-                node(x, left - c, full | low, held | low, free, clash, out, shift + c)
-                path.pop()
+                node(left - c, full | low, held | low, free, clash, out)
 
-    def node(last, left, full, held, free, clash, out, shift):
-        """Add to out[shift:] the series below the node with entries path and
-        last weight last (-1 at the root): masks F and F | P, free, clash."""
+    def node(left, full, held, free, clash, out):
+        """Add to out[~left:], which ends at drop order, the series below the
+        node with masks F = full and F | P = held, free and clash."""
         chi = 0 if clash else 1 << free
-        out[shift] += chi
+        out[~left] += chi
         if visit:
-            visit(path, order - left, chi)
+            visit(held, full & d2, order - left, chi)
         if not left:
             return
-        above = last + 1
-        nonzero, ones, twos = cuts[last // layer_size + 2]
+        above = held.bit_length()  # past the branch's last weight, 0 at the root
+        a = (above - 1) // layer_size  # that weight's x1-layer, -1 at the root
+        nonzero, ones, twos = cuts[a + 2]
         bad = nonzero ^ full
         bad = bad << layer_size | (bad << n3) & row | (bad << 1) & col
         badline = twos & ~held
         badline = badline << layer_size | badline << n3 | badline << 1
         full_at = (nonzero & ~bad) >> above << above
         line_at = (twos & ~badline) >> above << above
-        if visit or last < 0:  # no memo in the listing, no layer to split at the root
-            children(full_at, line_at, left, full, held, free, clash, out, shift)
+        if visit or not held:  # no memo in the listing, no layer to split at the root
+            children(full_at, line_at, left, full, held, free, clash, out)
             return
         if left == 1:
-            out[shift + 1] += (full_at & ones).bit_count() << free
-            children(0, line_at, 1, full, held, free, clash, out, shift)
+            out[-1] += (full_at & ones).bit_count() << free
+            children(0, line_at, 1, full, held, free, clash, out)
             return
-        split = (last // layer_size + 1) * layer_size  # the first weight past layer a
+        start = a * layer_size  # the first weight of layer a
+        split = start + layer_size  # the first weight past it
         full_in, line_in = full_at & (1 << split) - 1, line_at & (1 << split) - 1
-        children(full_in, line_in, left, full, held, free, clash, out, shift)
+        children(full_in, line_in, left, full, held, free, clash, out)
         full_at, line_at = full_at ^ full_in, line_at ^ line_in
-        layer = tuple(path[len(path) - (held >> split - layer_size).bit_count() :])
         roots: dict[int, int] = {}
-        labels = []
-        lines = []
-        for x, _ in layer:
-            if x in parent:
-                r = find(x)
-                if r not in roots:
-                    roots[r] = len(lines)
-                    lines.append(line[r])
-                labels.append(roots[r])
-        key = (layer, tuple(labels), tuple(lines), left)
+        labels, lines = [], []
+        m = (held ^ full) >> start  # the line variables of layer a
+        while m:
+            r = find(start + (m & -m).bit_length() - 1)
+            m &= m - 1
+            if r not in roots:
+                roots[r] = len(lines)
+                lines.append(line[r])
+            labels.append(roots[r])
+        key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)
         open_free = lines.count(None)
         tail = memo.get(key)
         if tail is None:
             tail = [0] * (left + 1)
-            children(full_at, line_at, left, full, held, open_free, False, tail, 0)
+            children(full_at, line_at, left, full, held, open_free, False, tail)
             memo[key] = tail
         closed = free - open_free
-        for k, x in enumerate(tail, shift):
+        for k, x in enumerate(tail, ~left):
             out[k] += x << closed
 
     out = [0] * (order + 1)
-    node(-1, order, 0, 0, 0, False, out, 0)
+    node(order, 0, 0, 0, False, out)
     # the closures reach one another through their cells; unlinking
     # them frees the memo now, not at the next collection
     del children, node
@@ -554,9 +559,9 @@ def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSum
     window = _window(params, n)
     records = []
 
-    def visit(path, drop, chi):
+    def visit(held, doubles, drop, chi):
         if drop == n:
-            entries = [(_unpack(x, window), c) for x, c in path]
+            entries = _entries(held, doubles, window)
             records.append(StratumRecord(Coprofile(entries), chi))
 
     _layer_transfer(params, n, visit)

@@ -1,6 +1,6 @@
 import os
 
-from quotbox.quotfixed import _layer_transfer, _unpack, _window
+from quotbox.quotfixed import _entries, _layer_transfer, _window
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -45,8 +45,8 @@ def consistent_strata(params, order):
     window = _window(params, order)
     out = []
 
-    def visit(path, drop, chi):
-        out.append((tuple((_unpack(x, window), c) for x, c in path), drop, chi))
+    def visit(held, doubles, drop, chi):
+        out.append((tuple(_entries(held, doubles, window)), drop, chi))
 
     _layer_transfer(params, order, visit)
     return out

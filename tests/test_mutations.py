@@ -36,19 +36,43 @@ from quotbox.verify import verify_product_formula
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
 
-KEY = "key = (layer, tuple(labels), tuple(lines), left)"
+KEY = "key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)"
 
 # label: (snippet, replacement, v, first order at which the claim fails, its
 # first mismatch)
 MUTANTS = {
     "closing factor dropped": ("out[k] += x << closed", "out[k] += x", (1, 1, 1), 7, 6),
-    "key without lines": (KEY, "key = (layer, tuple(labels), left)", (2, 1, 1), 7, 6),
+    "key without lines": (
+        KEY,
+        "key = (start, held >> start, full >> start, tuple(labels), left)",
+        (2, 1, 1),
+        7,
+        6,
+    ),
     "key with only a forced flag per line": (
         KEY,
-        "key = (layer, tuple(labels), tuple(l is None for l in lines), left)",
+        "key = (start, held >> start, full >> start, tuple(labels),"
+        " tuple(l is None for l in lines), left)",
         (1, 1, 1),
         11,
         11,
+    ),
+    "key without the layer index": (
+        KEY,
+        "key = (held >> start, full >> start, tuple(labels), tuple(lines), left)",
+        (1, 2, 3),
+        5,
+        4,
+    ),
+    "key without F | P": (
+        KEY,
+        "key = (start, full >> start, tuple(labels), tuple(lines), left)",
+        (2, 2, 1),
+        11,
+        11,
+    ),
+    "tail added one coefficient late": (
+        "enumerate(tail, ~left)", "enumerate(tail, -left)", (1, 1, 1), 3, 0,
     ),
     "packing base one low": (
         "max(c) + max(order, 1) for c",
@@ -81,8 +105,8 @@ MUTANTS = {
         1,
     ),
     "last-level popcount not shifted by free": (
-        "out[shift + 1] += (full_at & ones).bit_count() << free",
-        "out[shift + 1] += (full_at & ones).bit_count()",
+        "out[-1] += (full_at & ones).bit_count() << free",
+        "out[-1] += (full_at & ones).bit_count()",
         (1, 1, 1),
         5,
         5,
@@ -115,16 +139,18 @@ RULE_MUTANTS = (
 )
 
 # the listing walk's node: every child walked in place, no memo
-LISTING = "if visit or last < 0:  # no memo in the listing, no layer to split at the root"
+LISTING = "if visit or not held:  # no memo in the listing, no layer to split at the root"
 
 # label: (snippet, replacement) of the branches only a visitor takes
 WALK_MUTANTS = {
     "visiting prunes clash pairs": ("if not cl or visit:", "if not cl:"),
-    "visiting uses the memo": (LISTING, "if last < 0:"),
+    "visiting uses the memo": (LISTING, "if not held:"),
     "a visited leaf reports its parent's chi": (
-        "node(x, left - 1, full, held | low, f, cl, out, shift + 1)",
-        "node(x, left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)),"
-        " out, shift + 1)",
+        "node(left - 1, full, held | low, f, cl, out)",
+        "node(left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)), out)",
+    ),
+    "visit reads every full drop as a double": (
+        "visit(held, full & d2, order - left, chi)", "visit(held, full, order - left, chi)",
     ),
 }
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,6 +494,20 @@ def test_each_series_call_builds_its_own_table(monkeypatch):
     masks.clear()
     assert quot_series((1, 1, 1), 5) == quot_closed_form((1, 1, 1), 5)
     assert masks == [_packing_window((1, 1, 1), 5)]
+
+
+@pytest.mark.parametrize("v, order", [((3, 2, 1), 8), ((2, 2, 2), 7), ((1, 1, 8), 4)])
+def test_walk_reads_only_the_module_protocol(v, order):
+    # generator_weights, fiber_masks and image_line are all the walk reads
+    # of the module, series and listing alike: no v1, no dim_at
+    params = ReflexiveParams(*v)
+    stub = types.SimpleNamespace(
+        generator_weights=params.generator_weights,
+        fiber_masks=params.fiber_masks,
+        image_line=params.image_line,
+    )
+    assert _layer_transfer(stub, order) == list(quot_closed_form(v, order).coeffs)
+    assert consistent_strata(stub, 4) == consistent_strata(params, 4)
 
 
 def test_packing_window_is_tight():
