@@ -26,8 +26,9 @@ suffix sums one coordinate at a time, last coordinate first, and then
 every polynomial, one packed int, is shifted by |s|: v2 sweeps over the
 C(v2+v3, v2) states per row, v1 * v2 * C(v2+v3, v2) int additions in all.
 
-Enumeration sizes are guarded; exceeding a guard raises GuardExceeded
-rather than grinding or exhausting memory.
+Enumeration sizes are guarded: every guard goes through ``_guarded``,
+which raises GuardExceeded before any work, naming the size it met and
+the bound, rather than grinding or exhausting memory.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import math
 from dataclasses import dataclass
 
 from .series import (
-    TruncatedSeries, _box_triple, _int_triple, _json_fields, _json_list, _series_order,
-    _unpacked,
+    TruncatedSeries, _box_triple, _dominates, _int_triple, _json_fields, _json_list,
+    _series_order, _unpacked,
 )
 
 __all__ = [
@@ -64,12 +65,12 @@ class GuardExceeded(RuntimeError):
 def _guarded(n, guard, what: str) -> int:
     """n, checked against guard before any work: both must be ints >= 0
     (not bools), else ValueError, and n above guard raises GuardExceeded
-    with the message "{what} <= {guard}"."""
+    with the message what.format(n) + ", guard is {guard}"."""
     n = _series_order(n)
     if type(guard) is not int or guard < 0:
         raise ValueError(f"guard must be an int >= 0, got {guard!r}")
     if n > guard:
-        raise GuardExceeded(f"{what} <= {guard}")
+        raise GuardExceeded(f"{what.format(n)}, guard is {guard}")
     return n
 
 
@@ -104,13 +105,8 @@ class PlanePartition:
     def size(self) -> int:
         return sum(sum(row) for row in self.rows)
 
-    def height(self, a: int, b: int) -> int:
-        if 0 <= a < len(self.rows) and 0 <= b < len(self.rows[a]):
-            return self.rows[a][b]
-        return 0
-
     def boxes(self) -> frozenset[tuple[int, int, int]]:
-        """The staircase: all (a, b, c) with c < height(a, b)."""
+        """The staircase: all (a, b, c) with c < rows[a][b]."""
         return frozenset(
             (a, b, c) for a, row in enumerate(self.rows) for b, h in enumerate(row)
             for c in range(h)
@@ -213,7 +209,7 @@ def enumerate_plane_partitions(
     GuardExceeded unless the guard is raised explicitly.  n and guard
     must be ints >= 0 (not bools), else ValueError.
     """
-    n = _guarded(n, guard, "plane partition enumeration guarded at n")
+    n = _guarded(n, guard, "plane partition enumeration at n = {}")
     found = [
         PlanePartition(rows)
         for rows, total in _stacks((n,) * n, n, n)
@@ -242,9 +238,7 @@ def count_box_partitions(v) -> list[int]:
     BOX_WALK_GUARD it raises GuardExceeded before any work.
     """
     v1, v2, v3 = _box_triple(v)
-    stacks = _box_count(v1, v2, v3)
-    if stacks > BOX_WALK_GUARD:
-        raise GuardExceeded(f"box walk of {stacks} stacks, guard is {BOX_WALK_GUARD}")
+    _guarded(_box_count(v1, v2, v3), BOX_WALK_GUARD, "box walk of {} stacks")
     volume = v1 * v2 * v3
     return _counts_by_total(_stacks((v3,) * v2, volume, v1), volume)
 
@@ -272,11 +266,7 @@ def box_partition_polynomial_dp(v) -> TruncatedSeries:
     box, fewer than 2^W, none larger than v1*v2*v3, so no mask is needed.
     """
     v1, v2, v3 = _box_triple(v)
-    nstates = math.comb(v2 + v3, v2)
-    if nstates > DP_STATE_GUARD:
-        raise GuardExceeded(
-            f"DP would need {nstates} states, guard is {DP_STATE_GUARD}"
-        )
+    _guarded(math.comb(v2 + v3, v2), DP_STATE_GUARD, "DP would need {} states")
     # weakly decreasing tuples, in decreasing lex order
     states = list(itertools.combinations_with_replacement(range(v3, -1, -1), v2))
     index = {s: i for i, s in enumerate(states)}
@@ -332,9 +322,7 @@ class MonomialIdeal:
                 if any(g[i] >= v[i] for i in range(3)):
                     raise ValueError("generator lies outside the box quotient")
         for g, h in itertools.combinations(gens, 2):
-            if all(g[i] <= h[i] for i in range(3)) or all(
-                h[i] <= g[i] for i in range(3)
-            ):
+            if _dominates(h, g) or _dominates(g, h):
                 raise ValueError("generators must form an antichain")
 
     def contains(self, m) -> bool:
@@ -342,7 +330,7 @@ class MonomialIdeal:
         m = _int_triple(m)
         if self.box is not None and any(m[i] >= self.box[i] for i in range(3)):
             return True  # the monomial is zero in the quotient ring
-        return any(all(g[i] <= m[i] for i in range(3)) for g in self.generators)
+        return any(_dominates(m, g) for g in self.generators)
 
     def _axis_bounds(self) -> tuple[int, int, int]:
         if self.box is not None:
@@ -433,16 +421,11 @@ def enumerate_box_monomial_ideals(v) -> list[MonomialIdeal]:
     v1, v2, v3 = _box_triple(v)
     cells = sorted(itertools.product(range(v1), range(v2), range(v3)))
     nodes = (len(cells) + 1) * _box_count(v1, v2, v3)
-    if nodes > ANTICHAIN_GUARD:
-        raise GuardExceeded(
-            f"antichain search of up to {nodes} nodes, guard is {ANTICHAIN_GUARD}"
-        )
+    _guarded(nodes, ANTICHAIN_GUARD, "antichain search of up to {} nodes")
     out: list[MonomialIdeal] = []
 
     def comparable(a, b):
-        return all(a[i] <= b[i] for i in range(3)) or all(
-            b[i] <= a[i] for i in range(3)
-        )
+        return _dominates(b, a) or _dominates(a, b)
 
     def rec(idx, chosen):
         if idx == len(cells):
@@ -468,7 +451,7 @@ def count_partition_pairs(order: int, guard: int = PLANE_PARTITION_GUARD) -> lis
     be ints >= 0 (not bools), else ValueError; above guard it raises
     GuardExceeded before any work.
     """
-    order = _guarded(order, guard, "pair counting guarded at order")
+    order = _guarded(order, guard, "pair counting at order {}")
     counts = _counts_by_total(_stacks((order,) * order, order, order), order)
     return [
         sum(counts[k] * counts[n - k] for k in range(n + 1))

@@ -162,11 +162,6 @@ def _window(params: ReflexiveParams, order: int) -> Weight:
     return n1, n2, n3
 
 
-def _check_order(order, guard: int) -> None:
-    """A search's colength bound must be at most guard, both ints >= 0."""
-    _guarded(order, guard, "stratum search guarded at colength")
-
-
 def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofile]:
     """All coprofiles of total drop n for the module attached to v, sorted
     by entries and read off the definition; no code is shared with the
@@ -179,7 +174,7 @@ def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofi
     generator fibers are, and so is every successor of a nonzero fiber).
     """
     params = ReflexiveParams.of(v)
-    _check_order(n, guard)
+    _guarded(n, guard, "stratum search at colength {}")
     gens = set(params.generator_weights())
     level = supports = {frozenset()}
     for _ in range(n):
@@ -555,7 +550,7 @@ def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSum
     a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
-    _check_order(n, guard)
+    _guarded(n, guard, "stratum search at colength {}")
     window = _window(params, n)
     records = []
 
@@ -581,6 +576,6 @@ def quot_series(v, order: int, guard: int = COLENGTH_GUARD) -> TruncatedSeries:
     descending, the orientation of the module docstring.
     """
     params = ReflexiveParams.of(v)
-    _check_order(order, guard)
+    _guarded(order, guard, "stratum search at colength {}")
     longest_first = ReflexiveParams(*sorted(params, reverse=True))
     return TruncatedSeries(order, tuple(_layer_transfer(longest_first, order)))

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 
 from .partitions import MonomialIdeal
-from .series import _box_triple, _int_triple
+from .series import _box_triple, _dominates, _int_triple
 
 __all__ = [
     "DimCheckReport", "FiberDescription", "MultMap", "ReflexiveParams",
@@ -121,10 +121,6 @@ def _cone_mask(lo: Weight, window: Weight) -> int:
     return mask
 
 
-def _dominates(w: Weight, u: Weight) -> bool:
-    return w[0] >= u[0] and w[1] >= u[1] and w[2] >= u[2]
-
-
 @dataclass(frozen=True)
 class FiberDescription:
     """Fiber of R0 at one weight.
@@ -163,16 +159,11 @@ def fiber_dim(v, w) -> int:
 
 
 def _coords_in_basis(fd: FiberDescription, vec: tuple[int, int, int]):
-    """Coordinates of a label vector in the fiber basis."""
-    if fd.dim == 0:
-        if any(vec):
-            raise ValueError("nonzero vector in zero fiber")
-        return ()
+    """Coordinates of a label vector in a nonzero fiber's basis: mult_matrix
+    reads only a nonzero source fiber's basis, and w + e_k dominates each
+    generator weight that w does, so the target holds vec's generator."""
     if fd.dim == 1:
         (i,) = fd.present
-        for j in range(3):
-            if j != i - 1 and vec[j] != 0:
-                raise ValueError("vector not supported on the present generator")
         return (vec[i - 1],)
     # dim 2: classes mod (1,1,1); coordinates over (class e1, class e2)
     return (vec[0] - vec[2], vec[1] - vec[2])

@@ -79,9 +79,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def __len__(self) -> int:
-        return self.order + 1
-
     def _check_order(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
@@ -250,6 +247,11 @@ def _int_triple(t) -> tuple[int, int, int]:
     if type(a) is not int or type(b) is not int or type(c) is not int:
         raise ValueError(f"expected three ints, got {t!r}")
     return a, b, c
+
+
+def _dominates(w, u) -> bool:
+    """w >= u componentwise, for two exponent triples."""
+    return w[0] >= u[0] and w[1] >= u[1] and w[2] >= u[2]
 
 
 def macmahon(order: int) -> TruncatedSeries:

@@ -33,7 +33,7 @@ def test_counts_match_golden():
 
 
 def test_enumeration_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="n = 13, guard is 12"):
         enumerate_plane_partitions(13)
     assert len(enumerate_plane_partitions(13, guard=13)) == 2485
     for bad in (-1, True, False, 2.5):
@@ -95,6 +95,12 @@ def test_from_boxes_rejects_gaps():
         PlanePartition.from_boxes({(1, 0, 0)})
     with pytest.raises(ValueError):
         PlanePartition.from_boxes({(0, 0, 0), (0, 1, 1)})
+    # a stack with a gap makes a valid height matrix, so only the
+    # closure test sees it
+    with pytest.raises(ValueError, match="not downward closed"):
+        PlanePartition.from_boxes({(0, 0, 1)})
+    with pytest.raises(ValueError, match="coordinates must be >= 0"):
+        PlanePartition.from_boxes({(0, -1, 0)})
 
 
 def test_fits_in_box():
@@ -137,10 +143,10 @@ def test_box_walk_guard(monkeypatch):
         raise AssertionError("walked past the guard")
 
     monkeypatch.setattr(partitions, "_stacks", no_walk)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="980 stacks, guard is 979"):
         count_box_partitions((3, 3, 3))
     monkeypatch.undo()
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="267227532 stacks, guard is 1000000"):
         count_box_partitions((5, 5, 5))
 
 
@@ -198,11 +204,12 @@ def test_dp_properties(v):
 
 
 def test_dp_state_guard(monkeypatch):
-    with pytest.raises(GuardExceeded):
+    # C(30, 15) states for (1, 15, 15), C(4, 2) for (2, 2, 2)
+    with pytest.raises(GuardExceeded, match="155117520 states, guard is 10000000"):
         box_partition_polynomial_dp((1, 15, 15))
     # a lowered guard refuses even small boxes
     monkeypatch.setattr(partitions, "DP_STATE_GUARD", 3)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="6 states, guard is 3"):
         box_partition_polynomial_dp((2, 2, 2))
 
 
@@ -304,7 +311,7 @@ def test_enumerate_box_ideals(monkeypatch):
     by_len = collections.Counter(i.colength() for i in ideals)
     assert [by_len[n] for n in range(9)] == GOLDEN_BOXES[(2, 2, 2)]
     monkeypatch.setattr(partitions, "ANTICHAIN_GUARD", 1 << 10)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="27440 nodes, guard is 1024"):
         enumerate_box_monomial_ideals((3, 3, 3))
 
 
@@ -315,7 +322,7 @@ def test_pair_counts():
     pairs = count_partition_pairs(12)
     assert pairs == list((m * m).coeffs)
     assert pairs[:9] == count_partition_pairs(8)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="order 13, guard is 12"):
         count_partition_pairs(13)
     for bad in (-1, True, False, 2.5):
         with pytest.raises(ValueError):

@@ -413,14 +413,17 @@ def test_guards(monkeypatch):
 
     monkeypatch.setattr("quotbox.quotfixed._layer_transfer", no_work)
     monkeypatch.setattr("quotbox.quotfixed.stratum_euler", no_work)
-    with pytest.raises(GuardExceeded):
+    # the message names the colength met and the guard
+    with pytest.raises(GuardExceeded, match="colength 7, guard is 5"):
         quot_fixed_euler((1, 1, 1), 7)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="colength 7, guard is 5"):
         quot_series((1, 1, 1), 7)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="colength 6, guard is 5"):
         fixed_locus_summary((1, 1, 1), 6)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="colength 6, guard is 5"):
         verify_product_formula((1, 1, 1), 6)
+    with pytest.raises(GuardExceeded, match="colength 4, guard is 3"):
+        enumerate_coprofiles((1, 1, 1), 4, guard=3)
     for bad in (-1, 2.5, 2.0, "2", None, True, False):
         with pytest.raises(ValueError):
             quot_series((1, 1, 1), bad)

@@ -121,12 +121,14 @@ def test_dim_two_iff_above_v():
 
 
 def test_present_upward_closed():
-    v = (2, 1, 2)
-    for w in window(4):
-        here = fiber(v, w).present
-        for k in range(3):
-            up = tuple(w[i] + (i == k) for i in range(3))
-            assert here <= fiber(v, up).present
+    # so a nonzero fiber's successor holds each of its generators, which
+    # is all _coords_in_basis relies on
+    for v in GRID + [(1, 1, 8), (8, 2, 1)]:
+        for w in window(max(v) + 1):
+            here = fiber(v, w).present
+            for k in range(3):
+                up = tuple(w[i] + (i == k) for i in range(3))
+                assert here <= fiber(v, up).present, (v, w, k)
 
 
 def test_mult_matrix_entries_bounded():

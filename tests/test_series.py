@@ -38,6 +38,8 @@ def test_constructor_validates():
         TruncatedSeries.from_coeffs([1.5, True])
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs([1, 2], order=2.5)
+    with pytest.raises(ValueError, match="more coefficients"):
+        TruncatedSeries.from_coeffs([1, 2, 3], order=1)
     assert TruncatedSeries.from_coeffs([1, 2], order=3).coeffs == (1, 2, 0, 0)
     # a coefficient list is kept as a tuple, so the series can be hashed
     listed = TruncatedSeries(1, [1, 2])
@@ -68,6 +70,11 @@ def test_order_mismatch_raises():
     with pytest.raises(ValueError):
         a * b
     assert (a + b.truncate(3)).coeffs == (2, 0, 0, 0)
+    with pytest.raises(ValueError, match="cannot extend"):
+        a.truncate(4)
+    # an int is a scalar factor, never a constant series to add
+    with pytest.raises(TypeError):
+        a + 1
 
 
 def test_monomial_beyond_order_vanishes():
