@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Check the --json path, then call the command's handler; a report it
-    returns is printed, written to --json and decides the exit code."""
+    returns is written to --json, then printed, and decides the exit code."""
     path = getattr(args, "json", None)
     if path and os.path.isdir(path):
         raise ValueError(f"--json: Is a directory: {path!r}")
@@ -139,7 +139,6 @@ def _run(args) -> int:
     report = args.handler(args)
     if report is None:
         return 0
-    print(report.summary())
     if args.json:
         try:
             fh = open(args.json, "w")
@@ -147,6 +146,7 @@ def _run(args) -> int:
             raise ValueError(f"--json: {exc}") from exc
         with fh:
             fh.write(report.to_json())
+    print(report.summary())
     return 0 if report.ok else 1
 
 

@@ -40,9 +40,8 @@ candidates are a few shifts of its branch's masks against those of
 ``ReflexiveParams.fiber_masks``, and a line's links and forced lines are
 read off the same masks, the lines from ``ReflexiveParams.image_line``;
 the walk reads nothing else of R0.  The masks are all it keeps of a
-branch, as a drop is 2 exactly at a full drop on a 2-dimensional fiber;
-the links and forced lines live in ``_Components``, a union-find with
-undo that counts the unforced components and notes a clash, so each
+branch's drops, as a drop is 2 exactly at a full drop on a 2-dimensional
+fiber; its line components ride along in dicts no child writes, so each
 node's Euler characteristic is known without a constraint system.
 
 ``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
@@ -259,63 +258,9 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     )
 
 
-class _Components:
-    """The line variables of a branch in a union-find with undo.
-
-    Union by size, no path compression, so a merge is undone by resetting
-    one parent.  parent holds exactly the branch's line variables (a root
-    is its own parent), and each root keeps in line the line its component
-    is forced to, or None.  A branch's Euler characteristic is 0 once some
-    component is forced to two different lines (a clash), and otherwise
-    2^(unforced components); the walk carries that count and flag along
-    with the structure.
-    """
-
-    def __init__(self):
-        self.parent: dict[Weight, Weight] = {}
-        self.size: dict[Weight, int] = {}
-        self.line: dict[Weight, Point | None] = {}
-
-    def find(self, x: Weight) -> Weight:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def add_variable(self, w, forced, sources, free, clash):
-        """Add line variable w, forced or not, linked to sources.  Returns
-        the merges made, to undo, and the new (free, clash)."""
-        parent, size, line, find = self.parent, self.size, self.line, self.find
-        parent[w] = w
-        size[w] = 1
-        line[w] = forced
-        free += forced is None
-        merges = []
-        for ws in sources:
-            a, b = find(ws), find(w)
-            if a == b:
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            la, lb = line[a], line[b]
-            merges.append((b, a, la))
-            parent[b] = a
-            size[a] += size[b]
-            if la is None or lb is None:
-                free -= 1  # an unforced component joins another
-                if la is None:
-                    line[a] = lb
-            elif la != lb:
-                clash = True
-        return merges, free, clash
-
-    def remove_variable(self, w, merges):
-        parent, size, line = self.parent, self.size, self.line
-        for b, a, la in reversed(merges):
-            parent[b] = b
-            size[a] -= size[b]
-            line[a] = la
-        del parent[w], size[w], line[w]
+def _relabel(comp, joined, tag, lo):
+    """A line child's comp: comp from bit lo on, each tag in joined made tag."""
+    return {y: tag if t in joined else t for y, t in comp.items() if y >= lo}
 
 
 def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int]:
@@ -332,7 +277,13 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     on the cone w >= v, is read off the masks: in F it sets no condition,
     in P it is a link source, and otherwise it is a 1-dimensional fiber at
     w_k = v_k that forces image_line(k); a second, different forced line
-    makes the pair infeasible.
+    makes the pair infeasible.  A branch also carries free, its count of
+    unforced components, clash, noting one forced to two lines, and comp,
+    which maps each line variable of its frontier, the layers from the one
+    below its last line's on, to a tag (x0, line): the bit whose line made
+    the component, and its forced line or None.  A line child's comp is a
+    new dict, its joins retagged and the layers no later line links to cut
+    (``_relabel``); no dict changes once a child has it, so nothing is undone.
 
     Once a later x1-layer is entered, layer a is final.  A node whose last
     weight lies in layer a walks its layer-a children in place; the tail
@@ -367,12 +318,9 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     cuts = [((d1 | d2) & keep, d1 & keep, d2 & keep) for keep in keeps]
     # w2 > 0 and w3 > 0, where shifts by n3 and 1 do not wrap (n2*n3 cannot)
     row, col = _cone_mask((0, 1, 0), window), _cone_mask((0, 0, 1), window)
-    comps = _Components()
-    add_variable, remove_variable = comps.add_variable, comps.remove_variable
-    find, line = comps.find, comps.line
     memo: dict[tuple, list[int]] = {}
 
-    def children(full_at, line_at, left, full, held, free, clash, out):
+    def children(full_at, line_at, left, full, held, free, clash, comp, out):
         """Walk a full drop at each bit of full_at, a line at each of line_at."""
         m = full_at | line_at
         while m:
@@ -380,30 +328,41 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
             m ^= low
             x = low.bit_length() - 1
             if low & line_at:
-                forced, sources = None, []
+                forced, joined = None, set()
                 for step, image in preds:
                     source = low >> step
                     if source & full:
                         continue  # fully dropped: no condition
                     if source & held:
-                        sources.append(x - step)  # a line variable: linked
+                        joined.add(comp[x - step])  # a line variable: linked
                     elif forced is None:
                         forced = image  # 1-dimensional, at w_k = v_k
                     elif forced != image:
                         break  # a second, different forced line
                 else:
-                    merges, f, cl = add_variable(x, forced, sources, free, clash)
+                    line, f, cl = forced, free, clash
+                    for _, joined_line in joined:
+                        if joined_line is None:
+                            f -= 1  # an unforced component joins x's
+                        elif line is None:
+                            line = joined_line
+                        elif line != joined_line:
+                            cl = True  # forced to two different lines
+                    f += line is None
                     if left == 1 and not visit:  # a leaf: no drop left for children
                         out[-1] += 0 if cl else 1 << f
                     elif not cl or visit:
-                        node(left - 1, full, held | low, f, cl, out)
-                    remove_variable(x, merges)
+                        tag = (x, line)
+                        lo = (x // layer_size - 1) * layer_size
+                        c = _relabel(comp, joined, tag, lo)
+                        c[x] = tag
+                        node(left - 1, full, held | low, f, cl, c, out)
             if low & full_at and (c := 2 if low & d2 else 1) <= left:
-                node(left - c, full | low, held | low, free, clash, out)
+                node(left - c, full | low, held | low, free, clash, comp, out)
 
-    def node(left, full, held, free, clash, out):
+    def node(left, full, held, free, clash, comp, out):
         """Add to out[~left:], which ends at drop order, the series below the
-        node with masks F = full and F | P = held, free and clash."""
+        node with masks F = full and F | P = held, free, clash and comp."""
         chi = 0 if clash else 1 << free
         out[~left] += chi
         if visit:
@@ -420,40 +379,40 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
         full_at = (nonzero & ~bad) >> above << above
         line_at = (twos & ~badline) >> above << above
         if visit or not held:  # no memo in the listing, no layer to split at the root
-            children(full_at, line_at, left, full, held, free, clash, out)
+            children(full_at, line_at, left, full, held, free, clash, comp, out)
             return
         if left == 1:
             out[-1] += (full_at & ones).bit_count() << free
-            children(0, line_at, 1, full, held, free, clash, out)
+            children(0, line_at, 1, full, held, free, clash, comp, out)
             return
         start = a * layer_size  # the first weight of layer a
         split = start + layer_size  # the first weight past it
         full_in, line_in = full_at & (1 << split) - 1, line_at & (1 << split) - 1
-        children(full_in, line_in, left, full, held, free, clash, out)
+        children(full_in, line_in, left, full, held, free, clash, comp, out)
         full_at, line_at = full_at ^ full_in, line_at ^ line_in
-        roots: dict[int, int] = {}
+        roots: dict[tuple, int] = {}
         labels, lines = [], []
         m = (held ^ full) >> start  # the line variables of layer a
         while m:
-            r = find(start + (m & -m).bit_length() - 1)
+            t = comp[start + (m & -m).bit_length() - 1]
             m &= m - 1
-            if r not in roots:
-                roots[r] = len(lines)
-                lines.append(line[r])
-            labels.append(roots[r])
+            if t not in roots:
+                roots[t] = len(lines)
+                lines.append(t[1])
+            labels.append(roots[t])
         key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)
         open_free = lines.count(None)
         tail = memo.get(key)
         if tail is None:
             tail = [0] * (left + 1)
-            children(full_at, line_at, left, full, held, open_free, False, tail)
+            children(full_at, line_at, left, full, held, open_free, False, comp, tail)
             memo[key] = tail
         closed = free - open_free
         for k, x in enumerate(tail, ~left):
             out[k] += x << closed
 
     out = [0] * (order + 1)
-    node(order, 0, 0, 0, False, out)
+    node(order, 0, 0, 0, False, {}, out)
     # the closures reach one another through their cells; unlinking
     # them frees the memo now, not at the next collection
     del children, node

@@ -9,8 +9,9 @@ order - 1 and fail at the listed order, with the first mismatch at the
 listed coefficient, and without an exception.  That coefficient can be
 order - 1: a node with one unit of drop left builds no memo key, so the
 walk to order m can miss a memo fault that the walk to order m + 1 shows
-at coefficient m.  The image-line mutant patches the module interface,
-``ReflexiveParams.image_line``, instead of the source.
+at coefficient m.  A few mutants raise at the listed order instead, and
+must still pass at order - 1.  The image-line mutant patches the module
+interface, ``ReflexiveParams.image_line``, instead of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
@@ -37,6 +38,7 @@ with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
 
 KEY = "key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)"
+RELABEL = "return {y: tag if t in joined else t for y, t in comp.items() if y >= lo}"
 
 # label: (snippet, replacement, v, first order at which the claim fails, its
 # first mismatch)
@@ -115,27 +117,60 @@ MUTANTS = {
         "badline = twos & ~held", "badline = twos & ~full", (1, 1, 1), 5, 5,
     ),
     "a forced predecessor ignored": (
-        "add_variable(x, forced, sources, free, clash)",
-        "add_variable(x, None, sources, free, clash)",
+        "line, f, cl = forced, free, clash",
+        "line, f, cl = None, free, clash",
         (1, 1, 1),
         3,
         3,
     ),
     "a P predecessor not linked": (
-        "sources.append(x - step)  # a line variable: linked", "pass", (1, 1, 1), 5, 5,
+        "joined.add(comp[x - step])  # a line variable: linked", "pass", (1, 1, 1), 5, 5,
     ),
     "a second forced line not compared": (
         "break  # a second, different forced line", "pass", (1, 1, 1), 1, 1,
     ),
+    "a joined forced line not carried": ("line = joined_line", "pass", (1, 1, 1), 6, 6),
+    "an unforced joined component not subtracted": (
+        "f -= 1  # an unforced component joins x's", "pass", (1, 1, 1), 6, 6,
+    ),
+    "a component forced two ways not flagged": (
+        "cl = True  # forced to two different lines", "pass", (1, 1, 1), 5, 5,
+    ),
+    "a child relabels its parent's tags in place": (
+        RELABEL,
+        "comp.update({y: tag for y, t in comp.items() if t in joined}); return comp",
+        (1, 1, 1),
+        7,
+        6,
+    ),
 }
 
-# the mutants of the walk's line rule, which the reference listing must
-# also reject: its systems come from the containment rule written out in
+# label: (snippet, replacement, v, order, exception) of the mutants that
+# pass the claim at order - 1 and raise at order instead of failing it
+RAISING_MUTANTS = {
+    # a joined component keeps its old tags, so a later line linked to two
+    # of them subtracts it once per tag, down to a negative shift
+    "joined tags not relabelled": (RELABEL, RELABEL.replace("tag if t in joined else t", "t"),
+                                   (1, 1, 1), 8, ValueError),
+    "frontier trimmed one layer too high": (
+        "lo = (x // layer_size - 1) * layer_size",
+        "lo = x // layer_size * layer_size",
+        (1, 1, 1),
+        8,
+        KeyError,
+    ),
+}
+
+# the mutants of the walk's line rule, and those of its components that
+# change a stratum of colength 5, which the reference listing must also
+# reject: its systems come from the containment rule written out in
 # profile_constraint_system, not from the walk
 RULE_MUTANTS = (
     "a forced predecessor ignored",
     "a P predecessor not linked",
     "a second forced line not compared",
+    "a component forced two ways not flagged",
+    "a child relabels its parent's tags in place",
 )
 
 # the listing walk's node: every child walked in place, no memo
@@ -146,8 +181,8 @@ WALK_MUTANTS = {
     "visiting prunes clash pairs": ("if not cl or visit:", "if not cl:"),
     "visiting uses the memo": (LISTING, "if not held:"),
     "a visited leaf reports its parent's chi": (
-        "node(left - 1, full, held | low, f, cl, out)",
-        "node(left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)), out)",
+        "node(left - 1, full, held | low, f, cl, c, out)",
+        "node(left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)), c, out)",
     ),
     "visit reads every full drop as a double": (
         "visit(held, full & d2, order - left, chi)", "visit(held, full, order - left, chi)",
@@ -215,12 +250,23 @@ def test_product_claim_rejects_mutant(label, monkeypatch):
     assert "quotbox._mutant_quotfixed" not in sys.modules
 
 
+@pytest.mark.parametrize("label", RAISING_MUTANTS)
+def test_product_claim_raises_on_mutant(label, monkeypatch):
+    snippet, replacement, v, order, exception = RAISING_MUTANTS[label]
+    with mutant(snippet, replacement) as module:
+        monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
+        assert verify_product_formula(v, order - 1, guard=order).ok
+        with pytest.raises(exception):
+            verify_product_formula(v, order, guard=order)
+    assert "quotbox._mutant_quotfixed" not in sys.modules
+
+
 def test_unmutated_source_passes_the_claim(monkeypatch):
     # the harness itself changes nothing: the source run as a fresh module
     # passes at every listed point
     with mutant(KEY, KEY) as module:
         monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
-        for _, _, v, order, _ in MUTANTS.values():
+        for _, _, v, order, _ in [*MUTANTS.values(), *RAISING_MUTANTS.values()]:
             assert verify_product_formula(v, order, guard=order).ok
         reference = reference_listing((1, 1, 1), 5)
         assert listing(module, (1, 1, 1), 5) == reference
