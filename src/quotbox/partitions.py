@@ -6,16 +6,22 @@ boxes form a downward-closed subset of Z_{>=0}^3 (the staircase), which is
 also how the bijection with finite-colength monomial ideals works: the
 staircase is the set of monomials outside the ideal.
 
-Every brute-force route reads one stack walker, ``_stacks``: it visits
-each stack of rows under a bound whose total is at most a budget exactly
-once and yields it with its total.  ``enumerate_plane_partitions`` keeps
-the stacks of one total; the counters bucket every stack by its total,
-so one walk counts every size.
+Every brute-force route walks the stacks of rows under a bound whose
+total is at most a budget, visiting each exactly once.  The stack walker
+``_stacks`` yields each stack with its total, and
+``enumerate_plane_partitions`` keeps the stacks of one total.  The tally
+``_count_stacks`` walks the same stacks without building them: it adds
+each one to the count of its total, by its own increment, inside its
+parent's loop, so one walk counts every size.  Both read the rows that
+may follow a row from ``_RowLists``, one list per row and binding
+budget.  The tally never reuses a count between stacks: counting each
+stack itself keeps it a brute-force route, independent of the DP, which
+sums counts over rows.
 
 Three independent counting routes are provided for box-bounded partitions,
 kept deliberately separate so they can check each other:
 
-* direct enumeration, one walk bucketed by size (``count_box_partitions``),
+* direct enumeration, one tally by size (``count_box_partitions``),
 * a row-by-row transfer DP (``box_partition_polynomial_dp``),
 * the closed-form product (``quotbox.series.box_product``).
 
@@ -33,7 +39,6 @@ the bound, rather than grinding or exhausting memory.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -154,22 +159,39 @@ def _rows_fitting(bound, budget):
     """Every nonempty row under bound with sum <= budget, with its sum.
 
     A row is a weakly decreasing tuple of positive heights; bound is
-    itself weakly decreasing and caps position b at bound[b].
+    itself weakly decreasing and caps position b at bound[b].  The rows
+    of length b + 1 extend by one height those of length b whose sum is
+    below budget.
     """
-    out = []
-
-    def rec(row, total):
-        b = len(row)
-        if b == len(bound):
-            return
-        cap = min(row[-1] if row else bound[0], bound[b], budget - total)
-        for h in range(cap, 0, -1):
-            longer = row + (h,)
-            out.append((longer, total + h))
-            rec(longer, total + h)
-
-    rec((), 0)
+    level = [((h,), h) for h in range(min(bound[0], budget), 0, -1)] if bound else []
+    out = level[:]
+    for b in bound[1:]:
+        level = [
+            (row + (h,), s + h)
+            for row, s in level if s < budget
+            for h in range(min(row[-1], b, budget - s), 0, -1)
+        ]
+        if not level:
+            break
+        out += level
     return out
+
+
+class _RowLists(dict):
+    """rows[last, left]: the rows that may follow last, each with its sum,
+    as _rows_fitting(last, left) lists them.  Each walk makes its own.
+
+    No row under last sums past sum(last), so every left above it lists
+    the same rows: one list is built per (last, min(left, sum(last))),
+    and a larger left is filed under that list.
+    """
+
+    def __missing__(self, key):
+        last, left = key
+        cap = sum(last)
+        rows = self[last, cap] if left > cap else _rows_fitting(last, left)
+        self[key] = rows
+        return rows
 
 
 def _stacks(bound, budget, max_rows):
@@ -180,7 +202,7 @@ def _stacks(bound, budget, max_rows):
     one of them.  Each stack is visited exactly once, depth first and
     unsorted.
     """
-    rows = functools.cache(_rows_fitting)  # one row list per (bound, budget)
+    rows = _RowLists()
     todo = [((), bound, 0)]
     while todo:
         stack, last, total = todo.pop()
@@ -188,15 +210,32 @@ def _stacks(bound, budget, max_rows):
         if len(stack) < max_rows:
             todo.extend(
                 (stack + (row,), row, total + s)
-                for row, s in rows(last, budget - total)
+                for row, s in rows[last, budget - total]
             )
 
 
-def _counts_by_total(stacks, budget) -> list[int]:
-    """counts[n] = number of the given (stack, total) pairs with total n."""
+def _count_stacks(bound, budget, max_rows) -> list[int]:
+    """counts[n] = number of the stacks _stacks(bound, budget, max_rows)
+    visits with total n, for n = 0 .. budget.
+
+    The same walk without building a stack: each child row is tallied
+    in its parent's loop, by its own increment, and pushed only if it can
+    still grow, with a row left and total below budget.  The explicit
+    stack holds (last row, total, rows left).
+    """
+    rows = _RowLists()
     counts = [0] * (budget + 1)
-    for _, total in stacks:
-        counts[total] += 1
+    counts[0] = 1  # the empty stack
+    todo = [(bound, 0, max_rows)] if max_rows > 0 and budget > 0 else []
+    pop, push = todo.pop, todo.append
+    while todo:
+        last, total, more = pop()
+        more -= 1
+        for row, s in rows[last, budget - total]:
+            t = total + s
+            counts[t] += 1
+            if more and t < budget:
+                push((row, t, more))
     return counts
 
 
@@ -230,17 +269,17 @@ def count_box_partitions(v) -> list[int]:
     """Plane partitions inside a v1 x v2 x v3 box, counted by size.
 
     Entry n of the returned list, for n = 0 .. v1*v2*v3, is the number of
-    partitions of n in the box.  One walk visits every stack of at most
-    v1 rows under the top row (v3,) * v2 and buckets it by its total;
-    this is the brute-force reference for the DP and the product formula.
-    The walk visits one stack per partition in the box, MacMahon's
-    prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k); above
-    BOX_WALK_GUARD it raises GuardExceeded before any work.
+    partitions of n in the box.  One tally counts every stack of at most
+    v1 rows under the top row (v3,) * v2 by its total, each stack by its
+    own increment; this is the brute-force reference for the DP and the
+    product formula.  The tally visits one stack per partition in the
+    box, MacMahon's prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k);
+    above BOX_WALK_GUARD it raises GuardExceeded before any work.
     """
     v1, v2, v3 = _box_triple(v)
     _guarded(_box_count(v1, v2, v3), BOX_WALK_GUARD, "box walk of {} stacks")
     volume = v1 * v2 * v3
-    return _counts_by_total(_stacks((v3,) * v2, volume, v1), volume)
+    return _count_stacks((v3,) * v2, volume, v1)
 
 
 def box_partition_polynomial_dp(v) -> TruncatedSeries:
@@ -444,15 +483,15 @@ def count_partition_pairs(order: int, guard: int = PLANE_PARTITION_GUARD) -> lis
     """Ordered pairs of plane partitions, counted by total size.
 
     Entry n of the returned list, for n = 0 .. order, is the number of
-    pairs (P, Q) with |P| + |Q| = n.  One walk visits every plane
-    partition of size <= order and buckets it by size, and the pair
-    counts are the convolution of those buckets; this is the brute-force
-    reference for the coefficients of macmahon^2.  order and guard must
-    be ints >= 0 (not bools), else ValueError; above guard it raises
-    GuardExceeded before any work.
+    pairs (P, Q) with |P| + |Q| = n.  One tally counts every plane
+    partition of size <= order by its size, each by its own increment,
+    and the pair counts are the convolution of those counts; this is the
+    brute-force reference for the coefficients of macmahon^2.  order and
+    guard must be ints >= 0 (not bools), else ValueError; above guard it
+    raises GuardExceeded before any work.
     """
     order = _guarded(order, guard, "pair counting at order {}")
-    counts = _counts_by_total(_stacks((order,) * order, order, order), order)
+    counts = _count_stacks((order,) * order, order, order)
     return [
         sum(counts[k] * counts[n - k] for k in range(n + 1))
         for n in range(order + 1)

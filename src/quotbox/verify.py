@@ -138,10 +138,10 @@ def verify_product_formula(
 def verify_stanley(v) -> VerificationReport:
     """Three-way box-bounded partition counts for every size.
 
-    The enumeration (one walk over the box's stacks, bucketed by size)
-    and the DP are both checked against the product formula.  lhs
-    reports the enumeration counts when they disagree with the product,
-    and otherwise the DP counts, which then equal them.
+    The enumeration (one tally of the box's stacks by size) and the DP
+    are both checked against the product formula.  lhs reports the
+    enumeration counts when they disagree with the product, and otherwise
+    the DP counts, which then equal them.
     """
     params = ReflexiveParams.of(v)
     start = time.perf_counter()

@@ -142,12 +142,33 @@ def test_box_walk_guard(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked past the guard")
 
-    monkeypatch.setattr(partitions, "_stacks", no_walk)
+    # either walker starting before the guard fails the test
+    for walker in ("_stacks", "_count_stacks"):
+        monkeypatch.setattr(partitions, walker, no_walk)
     with pytest.raises(GuardExceeded, match="980 stacks, guard is 979"):
         count_box_partitions((3, 3, 3))
     monkeypatch.undo()
     with pytest.raises(GuardExceeded, match="267227532 stacks, guard is 1000000"):
         count_box_partitions((5, 5, 5))
+
+
+def test_tally_matches_stack_walker():
+    # the tally against the stacks it skips building, with box bounds and
+    # budgets that bind on some inputs and not on others: neither public
+    # counter mixes a box bound with a binding budget
+    for bound in [(3, 2, 2), (4, 4, 1), (2, 2, 2, 2), (5,)]:
+        for budget in range(sum(bound) + 2):
+            for max_rows in range(5):
+                want = [0] * (budget + 1)
+                for _, total in partitions._stacks(bound, budget, max_rows):
+                    want[total] += 1
+                got = partitions._count_stacks(bound, budget, max_rows)
+                assert got == want, (bound, budget, max_rows)
+    # no row under (3, 2) sums past 5, so every larger budget shares one list
+    rows = partitions._RowLists()
+    assert rows[(3, 2), 9] is rows[(3, 2), 6] is rows[(3, 2), 5]
+    assert rows[(3, 2), 4] is not rows[(3, 2), 5]
+    assert len(rows[(3, 2), 4]) == len(rows[(3, 2), 5]) - 1
 
 
 def test_count_box_matches_golden():
@@ -156,7 +177,7 @@ def test_count_box_matches_golden():
 
 
 def test_count_box_matches_filtered_enumeration():
-    # each size of the one bucketed walk against the plane partitions of
+    # each size of the one tally against the plane partitions of
     # that size that fit in the box, for every box of volume <= 10
     pps = [enumerate_plane_partitions(n) for n in range(11)]
     for v in itertools.product(range(1, 11), repeat=3):

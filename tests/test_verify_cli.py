@@ -368,7 +368,8 @@ def test_stanley_box_walk_guard(monkeypatch, capsys):
     def no_walk(*args):
         raise AssertionError("walked past the guard")
 
-    monkeypatch.setattr(partitions, "_stacks", no_walk)
+    for walker in ("_stacks", "_count_stacks"):
+        monkeypatch.setattr(partitions, walker, no_walk)
     with pytest.raises(partitions.GuardExceeded):
         verify_stanley((5, 5, 5))
     assert cli_main(["verify", "stanley", "--v", "5", "5", "5"]) == 1
