@@ -15,16 +15,15 @@ from quotbox import (
 v = ReflexiveParams(2, 1, 1)
 print(f"v = {v.triple}; generator weights {v.generator_weights()}")
 
-print("\nFibers have dimension 0, 1 or 2; the three generator regions")
-print("either miss a weight, cover it once, or all three cover it (the")
-print("cone above v, where one relation cuts the span to dimension 2):")
-for w in [(0, 0, 0), (2, 1, 0), (2, 0, 1), (2, 1, 1), (3, 2, 2)]:
+print("\nEach fiber is a subspace of C^2: all of it on the cone above v,")
+print("one of three fixed lines where w >= 0 lies below v in one")
+print("coordinate only, and 0 elsewhere:")
+for w in [(0, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1), (2, 1, 1), (3, 2, 2)]:
     fd = fiber(v, w)
-    print(f"  w={w}: dim {fd.dim}  present {sorted(fd.present)}  "
-          f"relation {fd.relation}")
+    print(f"  w={w}: dim {fd.dim}  basis {fd.basis}")
 
-print("\nMultiplication matrices re-express generator classes in the")
-print("target basis; entries stay in -1, 0, 1:")
+print("\nMultiplication matrices are the inclusions of one fiber in the")
+print("next, in the fibers' bases; entries stay in 0, 1:")
 for (w, k) in [((2, 1, 0), 3), ((0, 1, 1), 1), ((2, 1, 1), 1)]:
     mm = mult_matrix(v, w, k)
     print(f"  x_{k}: {w} -> {mm.target}: {mm.matrix}")

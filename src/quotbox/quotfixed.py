@@ -15,13 +15,13 @@ forced by the module structure, since away from the generator degrees the
 fiber of R0 is spanned by the images of its three predecessors, so a
 dimension drop at w entails one at some predecessor.
 
-R0 has 2-dimensional fibers exactly on the cone w >= v, all in the fixed
-basis (class of e1, class of e2), so multiplication between two of them
-is the identity.  Every line variable sits on that cone, and the
-constraint system of a stratum is correspondingly plain: some variables
-are forced to the image line of a 1-dimensional neighbor, some pairs of
-variables are linked (they must be the same line), or the stratum is
-infeasible because a map leaves too little room in its target.
+R0 has 2-dimensional fibers exactly on the cone w >= v, each of them
+all of C^2, so multiplication between two of them is the identity.
+Every line variable sits on that cone, and the constraint system of a
+stratum is correspondingly plain: some variables are forced to the image
+line of a 1-dimensional neighbor, some pairs of variables are linked
+(they must be the same line), or the stratum is infeasible because a map
+leaves too little room in its target.
 ``stratum_euler`` evaluates such a system exactly: the links split the
 variables into components, a component forced to two different lines
 makes the stratum empty, and otherwise every unforced component is a free

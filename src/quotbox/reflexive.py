@@ -8,18 +8,18 @@ weights
 The module R0 is spanned by three generators e1, e2, e3, where e_i sits in
 degree g_i and is free over the monomials above it, except that on the
 common upward cone w >= v = (v1, v2, v3) the single relation
-e1 + e2 + e3 = 0 is imposed.  Concretely the fiber of R0 at a weight w is
+e1 + e2 + e3 = 0 is imposed.  Like every equivariant rank-2 reflexive
+module, R0 is a family of subspaces F_w of C^2, one per weight, and
+multiplication by x_k is the inclusion F_w <= F_{w + e_k}.  In the basis
+(class of e1, class of e2) of C^2, the class of e3 is (-1, -1), and
 
-    C^{present(w)} / (relation if all three present)
+    F_w = C^2                   on the cone w >= v,
+    F_w = the line _LINES[k-1]  when w >= 0 lies below v in coordinate
+                                k only (w >= g_(4-k), spanned by e_(4-k)),
+    F_w = 0                     otherwise.
 
-with present(w) = { i : w >= g_i componentwise }.  A short case check
-shows present(w) always has size 0, 1 or 3: if w dominates two generator
-weights it dominates v and hence the third as well.  So fiber dimensions
-are 0, 1 or 2, and dimension 2 happens exactly on the cone w >= v.
-
-Fibers with all three generators present carry the fixed basis
-(class of e1, class of e2); the class of e3 is (-1, -1) in it.  All
-multiplication matrices in these coordinates have entries in {-1, 0, 1}.
+So fiber dimensions are 0, 1 or 2, and every multiplication matrix has
+entries in {0, 1}.
 
 The module ``check_cosection_quotient`` compares graded dimensions of
 R0 / (line submodule spanned by the class of e1 + e2) against the
@@ -46,7 +46,8 @@ __all__ = [
 Weight = tuple[int, int, int]
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_IMAGE_LINES = {1: (1, 1), 2: (0, 1), 3: (1, 0)}
+# F_w where w >= 0 lies below v in coordinate k only, for k = 1, 2, 3
+_LINES = ((1, 1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,10 @@ class ReflexiveParams:
 
     @staticmethod
     def image_line(k: int) -> tuple[int, int]:
-        """The line, as a normalized point in the basis (class of e1, class
-        of e2), onto which x_k carries a 1-dimensional fiber stepping into
-        the cone w >= v: that fiber is spanned by e_(4-k), and the class of
-        e3 is (-1, -1)."""
-        return _IMAGE_LINES[k]
+        """The line onto which x_k carries a 1-dimensional fiber stepping
+        into the cone w >= v: that fiber lies below v in coordinate k
+        only, so it is the line _LINES[k-1] of C^2 itself."""
+        return _LINES[k - 1]
 
     def fiber_masks(self, window: Weight) -> tuple[int, int]:
         """Bitmasks D1, D2 of the weights in the window [0, n1) x [0, n2) x
@@ -123,50 +123,30 @@ def _cone_mask(lo: Weight, window: Weight) -> int:
 
 @dataclass(frozen=True)
 class FiberDescription:
-    """Fiber of R0 at one weight.
-
-    basis holds coset representatives as integer vectors over the labels
-    (e1, e2, e3); relation is (1, 1, 1) when the fiber is a proper
-    quotient, else None.
-    """
+    """Fiber F_w of R0 at one weight: basis vectors of a subspace of C^2."""
 
     weight: Weight
-    present: frozenset[int]
     dim: int
-    basis: tuple[tuple[int, int, int], ...]
-    relation: tuple[int, int, int] | None
+    basis: tuple[tuple[int, int], ...]
 
 
 def fiber(v, w) -> FiberDescription:
-    """Describe the fiber of R0 at weight w."""
+    """Describe the fiber of R0 at weight w (see the module docstring)."""
     params = ReflexiveParams.of(v)
     w = _int_triple(w)
-    gens = params.generator_weights()
-    present = frozenset(i + 1 for i, g in enumerate(gens) if _dominates(w, g))
-    if len(present) == 0:
-        return FiberDescription(w, present, 0, (), None)
-    if len(present) == 1:
-        (i,) = present
-        return FiberDescription(w, present, 1, (_E[i - 1],), None)
-    # two generator weights below w force the third: w >= v
-    assert len(present) == 3 and _dominates(w, params.triple)
-    return FiberDescription(w, present, 2, (_E[0], _E[1]), (1, 1, 1))
+    below = [k for k in range(3) if w[k] < params.triple[k]]
+    if not below:
+        basis = ((1, 0), (0, 1))
+    elif len(below) == 1 and min(w) >= 0:
+        basis = (_LINES[below[0]],)
+    else:
+        basis = ()
+    return FiberDescription(w, len(basis), basis)
 
 
 def fiber_dim(v, w) -> int:
-    """Dimension of the fiber at w, without building basis data."""
-    return ReflexiveParams.of(v).dim_at(*_int_triple(w))
-
-
-def _coords_in_basis(fd: FiberDescription, vec: tuple[int, int, int]):
-    """Coordinates of a label vector in a nonzero fiber's basis: mult_matrix
-    reads only a nonzero source fiber's basis, and w + e_k dominates each
-    generator weight that w does, so the target holds vec's generator."""
-    if fd.dim == 1:
-        (i,) = fd.present
-        return (vec[i - 1],)
-    # dim 2: classes mod (1,1,1); coordinates over (class e1, class e2)
-    return (vec[0] - vec[2], vec[1] - vec[2])
+    """Dimension of the fiber at w."""
+    return fiber(v, w).dim
 
 
 @dataclass(frozen=True)
@@ -196,21 +176,17 @@ class MultMap:
 
 
 def mult_matrix(v, w, k: int) -> MultMap:
-    """Multiplication by x_k on fibers, in the fixed bases.
-
-    Generators map to themselves label-wise; the matrix just re-expresses
-    source basis vectors in the target basis.  Entries land in {-1, 0, 1}.
-    """
+    """Multiplication by x_k on fibers: the inclusion F_w <= F_{w + e_k}
+    in the fibers' bases.  Into C^2 a column is the source vector itself;
+    into a line it is (1,), since a nonzero source is that same line."""
     if type(k) is not int or k not in (1, 2, 3):
         raise ValueError(f"direction k must be 1, 2 or 3, got {k!r}")
     params = ReflexiveParams.of(v)
     w = _int_triple(w)
     src = fiber(params, w)
     tgt = fiber(params, tuple(w[i] + _E[k - 1][i] for i in range(3)))
-    cols = [_coords_in_basis(tgt, b) for b in src.basis]
-    matrix = tuple(
-        tuple(col[r] for col in cols) for r in range(tgt.dim)
-    )
+    cols = src.basis if tgt.dim == 2 else ((1,),) * src.dim
+    matrix = tuple(tuple(col[r] for col in cols) for r in range(tgt.dim))
     return MultMap(w, k, matrix)
 
 
@@ -224,12 +200,12 @@ def sing_ideal(v) -> MonomialIdeal:
 
 
 def line_submodule_dim(params: ReflexiveParams, w: Weight) -> int:
-    """Graded dimension of the line submodule spanned by the class of
-    e1 + e2 over the cone w >= v.
+    """Graded dimension of the line submodule: one line of C^2 on the
+    cone w >= v, 0 elsewhere.
 
-    Any class off the relation line and off the coordinate lines spans a
-    sub-line stable under multiplication; graded dimensions do not depend
-    on the choice, so the class of (1, 1, 0) is fixed here.
+    Every line of C^2 gives a submodule, since the cone is upward closed
+    and F_w = C^2 on it; graded dimensions do not depend on the choice,
+    so the class of e1 + e2, the line (1, 1), is fixed here.
     """
     return 1 if _dominates(w, params.triple) else 0
 

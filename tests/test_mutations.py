@@ -10,8 +10,10 @@ listed coefficient, and without an exception.  That coefficient can be
 order - 1: a node with one unit of drop left builds no memo key, so the
 walk to order m can miss a memo fault that the walk to order m + 1 shows
 at coefficient m.  A few mutants raise at the listed order instead, and
-must still pass at order - 1.  The image-line mutant patches the module
-interface, ``ReflexiveParams.image_line``, instead of the source.
+must still pass at order - 1.  The deep mutants fail only past tier-1's
+orders, so their test runs in the deep tier (``pytest -m deep``).  The
+image-line mutant patches the module interface,
+``ReflexiveParams.image_line``, instead of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
@@ -261,6 +263,32 @@ def test_product_claim_raises_on_mutant(label, monkeypatch):
     assert "quotbox._mutant_quotfixed" not in sys.modules
 
 
+# label: (snippet, replacement, v, order, mismatch) of the mutants whose
+# claim first fails past tier-1's orders, as in MUTANTS
+DEEP_MUTANTS = {
+    "key without full >> start": (
+        KEY,
+        "key = (start, held >> start, tuple(labels), tuple(lines), left)",
+        (1, 1, 1),
+        19,
+        19,
+    ),
+}
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("label", DEEP_MUTANTS)
+def test_product_claim_rejects_deep_mutant(label, monkeypatch):
+    snippet, replacement, v, order, mismatch = DEEP_MUTANTS[label]
+    assert verify_product_formula(v, order, guard=order).ok  # the source itself
+    with mutant(snippet, replacement) as module:
+        monkeypatch.setattr(quotbox.verify, "quot_series", module.quot_series)
+        before = verify_product_formula(v, order - 1, guard=order)
+        report = verify_product_formula(v, order, guard=order)
+    assert before.ok
+    assert report.status == "fail" and report.first_mismatch == mismatch
+
+
 def test_unmutated_source_passes_the_claim(monkeypatch):
     # the harness itself changes nothing: the source run as a fresh module
     # passes at every listed point
@@ -278,8 +306,8 @@ def test_product_claim_rejects_shared_image_line(v, order, monkeypatch):
     # x_1 and x_2 carry their 1-dimensional fibers onto one line.  A
     # permutation of the three lines would pass at every order: PGL2 acts
     # 3-transitively on P^1, so the Euler characteristic depends only on
-    # which lines coincide, and only test_image_line_matches_mult_matrix
-    # pins the lines themselves.
+    # which lines coincide, and only test_image_line_matches_mult_matrix,
+    # which reads them off R0's presentation, pins the lines themselves.
     lines = {1: (1, 1), 2: (1, 1), 3: (1, 0)}
     monkeypatch.setattr(ReflexiveParams, "image_line", staticmethod(lines.__getitem__))
     assert verify_product_formula(v, order - 1).ok

@@ -65,16 +65,19 @@ def test_fiber_cases():
     v = (1, 1, 1)
     at_origin = fiber(v, (0, 0, 0))
     assert at_origin.dim == 0 and at_origin.basis == ()
+    # a weight below v in coordinate k only holds the line _LINES[k-1]
     single = fiber(v, (1, 1, 0))
+    assert single.weight == (1, 1, 0)
     assert single.dim == 1
-    assert single.present == frozenset({1})
-    assert single.basis == ((1, 0, 0),)
-    assert single.relation is None
-    triple = fiber(v, (1, 1, 1))
-    assert triple.dim == 2
-    assert triple.present == frozenset({1, 2, 3})
-    assert triple.basis == ((1, 0, 0), (0, 1, 0))
-    assert triple.relation == (1, 1, 1)
+    assert single.basis == ((1, 0),)
+    assert fiber(v, (1, 0, 1)).basis == ((0, 1),)
+    assert fiber(v, (0, 1, 1)).basis == ((1, 1),)
+    plane = fiber(v, (1, 1, 1))
+    assert plane.dim == 2
+    assert plane.basis == ((1, 0), (0, 1))
+    # off the orthant, even below v in one coordinate only
+    off = fiber(v, (-1, 5, 5))
+    assert off.dim == 0 and off.basis == ()
 
 
 def test_fiber_respects_v():
@@ -87,10 +90,16 @@ def test_fiber_respects_v():
 
 
 def test_fiber_dim_matches_fiber():
-    # the three comparisons against v agree with the generator count
+    # at every weight, negative ones included; and the walk's closed form
+    # dim_at, which is only ever read on w >= 0, agrees there
     for v in GRID:
-        for w in window(6):
-            assert fiber_dim(v, w) == fiber(v, w).dim
+        params = ReflexiveParams.of(v)
+        for w in itertools.product(range(-2, 7), repeat=3):
+            dim = fiber(v, w).dim
+            assert fiber_dim(v, w) == dim, (v, w)
+            if min(w) >= 0:
+                assert params.dim_at(*w) == dim, (v, w)
+    assert fiber_dim((1, 1, 1), (-1, 5, 5)) == fiber_dim((1, 1, 1), (5, -1, 5)) == 0
 
 
 @pytest.mark.parametrize("v", GRID + [(1, 1, 8), (8, 2, 1)])
@@ -107,12 +116,6 @@ def test_fiber_masks_match_dim_at(v):
         assert (d1 | d2) >> n1 * n2 * n3 == 0
 
 
-def test_present_never_two():
-    for v in [(1, 1, 1), (2, 1, 1), (1, 2, 3)]:
-        for w in window(max(v) + 2):
-            assert len(fiber(v, w).present) in (0, 1, 3)
-
-
 def test_dim_two_iff_above_v():
     for v in [(1, 1, 1), (2, 2, 1), (1, 2, 3)]:
         for w in window(max(v) + 2):
@@ -120,15 +123,21 @@ def test_dim_two_iff_above_v():
             assert (fiber_dim(v, w) == 2) == above
 
 
-def test_present_upward_closed():
-    # so a nonzero fiber's successor holds each of its generators, which
-    # is all _coords_in_basis relies on
+def test_mult_matrix_is_inclusion():
+    # F_w <= F_{w+e_k}: each source basis vector is the target basis times
+    # its column, so a nonzero fiber's successor contains it
     for v in GRID + [(1, 1, 8), (8, 2, 1)]:
-        for w in window(max(v) + 1):
-            here = fiber(v, w).present
-            for k in range(3):
-                up = tuple(w[i] + (i == k) for i in range(3))
-                assert here <= fiber(v, up).present, (v, w, k)
+        for w in itertools.product(range(-1, max(v) + 2), repeat=3):
+            source = fiber(v, w).basis
+            for k in (1, 2, 3):
+                mm = mult_matrix(v, w, k)
+                target = fiber(v, mm.target).basis
+                assert mm.target_dim == len(target), (v, w, k)
+                assert all(len(row) == len(source) for row in mm.matrix), (v, w, k)
+                for j, vec in enumerate(source):
+                    col = [row[j] for row in mm.matrix]
+                    image = tuple(sum(c * b[i] for c, b in zip(col, target)) for i in (0, 1))
+                    assert image == vec, (v, w, k)
 
 
 def test_mult_matrix_entries_bounded():
@@ -136,7 +145,7 @@ def test_mult_matrix_entries_bounded():
         for w in window(max(v) + 2):
             for k in (1, 2, 3):
                 mm = mult_matrix(v, w, k)
-                assert all(e in (-1, 0, 1) for row in mm.matrix for e in row)
+                assert all(e in (0, 1) for row in mm.matrix for e in row)
 
 
 def test_mult_matrix_identity_links():
@@ -150,7 +159,7 @@ def test_mult_matrix_identity_links():
                 if mm.source_dim == 2:
                     assert mm.matrix == ((1, 0), (0, 1))
                 elif mm.source_dim == 1 and mm.target_dim == 2:
-                    assert mm.matrix in (((1,), (0,)), ((0,), (1,)), ((-1,), (-1,)))
+                    assert mm.matrix in (((1,), (0,)), ((0,), (1,)), ((1,), (1,)))
 
 
 def normalized(x, y):
@@ -160,18 +169,32 @@ def normalized(x, y):
     return (-x, -y) if x < 0 or (x == 0 and y < 0) else (x, y)
 
 
+def presentation_class(i):
+    """Class of the generator e_i in C^3 / (1, 1, 1), in the basis (class
+    of e1, class of e2): a label vector (a, b, c) goes to (a - c, b - c)."""
+    a, b, c = (int(j == i) for j in (1, 2, 3))
+    return (a - c, b - c)
+
+
 def test_image_line_matches_mult_matrix():
-    # the module interface against the slow route: every step from a
-    # 1-dimensional fiber into a 2-dimensional one lands on image_line(k)
+    # the lines against R0's presentation, computed here, not against the
+    # table that fiber and image_line both read: the fiber at g_i is
+    # spanned by e_i, and every step along e_k from a 1-dimensional fiber
+    # into a 2-dimensional one lands on the class of e_(4-k)
+    assert [presentation_class(i) for i in (1, 2, 3)] == [(1, 0), (0, 1), (-1, -1)]
     steps = collections.Counter()
     for v in GRID:
         params = ReflexiveParams.of(v)
+        for i, g in enumerate(params.generator_weights(), 1):
+            (vec,) = fiber(v, g).basis
+            assert normalized(*vec) == normalized(*presentation_class(i)), (v, i)
         for w in window(6):
             for k in (1, 2, 3):
                 mm = mult_matrix(v, w, k)
                 if mm.source_dim == 1 and mm.target_dim == 2:
                     (a,), (b,) = mm.matrix
-                    assert params.image_line(k) == normalized(a, b)
+                    line = normalized(*presentation_class(4 - k))
+                    assert normalized(a, b) == params.image_line(k) == line, (v, w, k)
                     steps[k] += 1
     assert all(steps[k] for k in (1, 2, 3))
 
@@ -182,7 +205,7 @@ def test_mult_matrix_examples():
     assert inj1.matrix == ((1,), (0,))
     assert inj1.target == (1, 1, 1)
     inj3 = mult_matrix(v, (0, 1, 1), 1)
-    assert inj3.matrix == ((-1,), (-1,))
+    assert inj3.matrix == ((1,), (1,))
     ident = mult_matrix(v, (1, 1, 1), 2)
     assert ident.matrix == ((1, 0), (0, 1))
     assert ident.source_dim == ident.target_dim == 2
@@ -268,6 +291,10 @@ def test_window_pair_form():
     report = check_cosection_quotient((1, 1, 1), ((1, 1, 1), (3, 3, 3)))
     assert report.ok
     assert len(report.entries) == 27
+    # weights off the orthant: every fiber there is 0, and so is each side
+    for check in (check_cosection_quotient, check_resolution_dims):
+        report = check((1, 1, 1), ((-1, -1, -1), (3, 3, 3)))
+        assert report.ok and len(report.entries) == 125, check.__name__
 
 
 def test_report_json_and_mismatch():
