@@ -27,33 +27,22 @@ variables into components, a component forced to two different lines
 makes the stratum empty, and otherwise every unforced component is a free
 P^1, so the Euler characteristic is 0 or 2^(free components).
 
-One walk reads the strata, ``_layer_transfer``: a depth-first search
-that adds (weight, drop) pairs in increasing lex order of weight, every
-colength up to the order at once.  The conditions with target w read
-only the drops at w - e_k, earlier in lex order, so they are decided when
-(w, c) is added, and an infeasible pair is cut with its subtree; every
-lex-order prefix of a consistent stratum is consistent, so the walk
-visits exactly the consistent strata.  A set of weights is an int used
-as a bitmask over packed weights in a window read off
-``ReflexiveParams.generator_weights`` (see ``_window``): a node's
-candidates are a few shifts of its branch's masks against those of
-``ReflexiveParams.fiber_masks``, and a line's links and forced lines are
-read off the same masks, the lines from ``ReflexiveParams.image_line``;
-the walk reads nothing else of R0.  The masks are all it keeps of a
-branch's drops, as a drop is 2 exactly at a full drop on a 2-dimensional
-fiber; its line components ride along in dicts no child writes, so each
-node's Euler characteristic is known without a constraint system.
-
-``quot_series`` (and so ``quot_fixed_euler``) sums the walk memoised at
-x1-layer boundaries, on v sorted descending so that the layers cut the
-longest side and a layer, n2*n3 bits, is smallest: permuting coordinates
-is a torus-equivariant isomorphism R0(v) = R0(sigma v).  At order 12 it
-is the fastest orientation or level with it on (3,2,1), (2,1,1) and
-(3,1,1), 1.2 to 1.5 times faster than ascending order; at order 5 the
-orientations of an elongated box are within about 10% (see the README).
-``fixed_locus_summary`` lists the nodes of the same walk with the memo
-off, on the caller's v, so its total against ``quot_fixed_euler`` checks
-the memo and the orientation.
+One walk reads the strata, ``_layer_transfer``: it adds (weight, drop)
+pairs in increasing lex order of weight, every colength up to the order
+at once.  The conditions with target w read only the drops at w - e_k,
+earlier in lex order, so they are decided when (w, c) is added, and an
+infeasible pair is cut with its subtree; every lex-order prefix of a
+consistent stratum is consistent, so the walk visits exactly the
+consistent strata.  A branch is a few bitmasks and its line components,
+so each node's chi is known without a constraint system, and the walk
+reads R0 only through ``ReflexiveParams.generator_weights``,
+``fiber_masks`` and ``image_line``.  ``quot_series`` (and so
+``quot_fixed_euler``) runs it as a forward transfer over x1-layers, each
+state at a layer's end searched once, on v sorted descending so that a
+layer, n2*n3 bits, is smallest (permuting coordinates is a
+torus-equivariant isomorphism R0(v) = R0(sigma v)).
+``fixed_locus_summary`` lists its nodes depth-first on the caller's v, so
+its total against ``quot_fixed_euler`` checks transfer and orientation.
 
 The tests' reference shares no code with the walk, only the closed forms
 of ``ReflexiveParams``: ``enumerate_coprofiles`` lists every coprofile
@@ -240,7 +229,7 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
             variables.append(w)
         for k, e in enumerate(_E, 1):
             ws = tuple(map(int.__sub__, w, e))
-            ds = params.dim_at(*ws) if min(ws) >= 0 else 0
+            ds = params.dim_at(*ws)
             cs = drops.get(ws, 0)
             if ds == cs:
                 continue
@@ -268,7 +257,8 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     over the consistent strata, by the walk of the module docstring.
 
     A branch carries the masks F of its fully dropped weights and P of its
-    line variables.  bad marks the weights with a predecessor of nonzero
+    line variables, all it keeps of its drops (a drop is 2 exactly at a bit
+    of F on D2).  bad marks the weights with a predecessor of nonzero
     fiber outside F, badline those with one of 2-dimensional fiber outside
     F | P: unions of shifts by step_k, bad less the bits a shift wraps from
     w_k = n_k - 1 to w_k = 0 (badline is read only on D2, where w_k > 0).  A
@@ -285,26 +275,42 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     new dict, its joins retagged and the layers no later line links to cut
     (``_relabel``); no dict changes once a child has it, so nothing is undone.
 
-    Once a later x1-layer is entered, layer a is final.  A node whose last
-    weight lies in layer a walks its layer-a children in place; the tail
-    after them sees of the branch only the layer-a entries (its masks read
-    F and P there at the earliest, its links reach the branch only through
-    layer-a line variables).  So the tail is memoised under the key (the
-    first bit of layer a, the layer-a entries as F | P and F shifted down
-    by it, the components of the layer-a line variables, lowest first, in
-    canonical labels with each one's forced line, remaining drop), its
-    value computed with free set to the open unforced components, those
-    with a layer-a member; each closed one, which no later link can reach,
-    doubles the caller's copy.  A pair that makes a clash is skipped, as
-    chi is 0 on its subtree, and a line leaf (no drop left after it) adds
-    its 2^free without a node; no other leaf does.  Every child of a node
-    with one unit of drop left is a leaf, and a full drop changes neither
-    free nor clash, so such a node adds its full drops' popcount shifted
-    by free, walks only its lines, and builds no key.
+    Once a later x1-layer is entered, layer a is final: the rest of a
+    branch reads F and P there at the earliest and links to it only
+    through layer-a line variables.  So a node whose last weight is in
+    layer a walks its layer-a children in place and, with candidates past
+    layer a, is a state of layer a, keyed by F | P and F from layer a on
+    and the components of the layer-a line variables, lowest first, in
+    canonical labels with their forced lines.  A state keeps the search of
+    the first branch to reach it (candidates, comp, and the masks from
+    layer a on, all of F and P the search reads) and a series S whose
+    coefficient d sums 2^closed over the branches that reach it with drop
+    d, closed counting the unforced components with no layer-a member,
+    which no later link can reach.  After the root's search the states are
+    searched layer by layer, each once, from free = open_free, the other
+    unforced components, and left = order - lo, lo the least drop in S,
+    exact as all its branches come from earlier layers: a node at drop
+    delta above lo adds 2^free q^delta to a tail T, a state t adds
+    2^(free - open_free(t)) q^delta S to its own S, and S T goes to the
+    sum.  A pair that makes a clash is skipped, as chi is 0 on its
+    subtree, and a line leaf (no drop left after it) adds its 2^free
+    without a node; no other leaf does.  Every child of a node with one
+    unit of drop left is a leaf, and a full drop changes neither free nor
+    clash, so such a node adds its full drops' popcount shifted by free,
+    walks only its lines, and is no state.
+
+    A series is one int, coefficient d at bit d*W, W = 5*order + 5.  Each
+    field sums terms of distinct strata of one colength d <= order, each
+    at most its chi, so it is at most c_d.  A stratum has k <= d weights,
+    at most 2^k drop vectors and chi <= 2^k, and its support, each weight
+    but a generator hung from its predecessor w - e_k of least k and the
+    generators from an extra root, is one of binom(3k + 3, k + 1)/(2k + 3)
+    <= 8^(k+1) ternary trees of k + 1 nodes.  So c_d <= sum_(k <= d) 4^k
+    8^(k+1) < 2^(5d + 4): only fields above the order, masked off, carry.
 
     With visit, it lists the strata: visit(F | P, F & D2, drop, chi) at each
     node in pre-order (``_entries`` reads the entries off the two masks),
-    the memo off, clash pairs followed with chi = 0 and line leaves made nodes.
+    no state filed, clash pairs followed with chi = 0 and line leaves made nodes.
     """
     window = _window(params, order)
     n1, n2, n3 = window
@@ -318,7 +324,8 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
     cuts = [((d1 | d2) & keep, d1 & keep, d2 & keep) for keep in keeps]
     # w2 > 0 and w3 > 0, where shifts by n3 and 1 do not wrap (n2*n3 cannot)
     row, col = _cone_mask((0, 1, 0), window), _cone_mask((0, 0, 1), window)
-    memo: dict[tuple, list[int]] = {}
+    width = 5 * order + 5  # bits per packed coefficient, see above
+    states: list = [{} for _ in range(n1)]  # per x1-layer: key -> [S, the search]
 
     def children(full_at, line_at, left, full, held, free, clash, comp, out):
         """Walk a full drop at each bit of full_at, a line at each of line_at."""
@@ -361,8 +368,8 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
                 node(left - c, full | low, held | low, free, clash, comp, out)
 
     def node(left, full, held, free, clash, comp, out):
-        """Add to out[~left:], which ends at drop order, the series below the
-        node with masks F = full and F | P = held, free, clash and comp."""
+        """Add to out[~left:], which ends at drop order, the node's series up
+        to its states: masks F = full and F | P = held, free, clash, comp."""
         chi = 0 if clash else 1 << free
         out[~left] += chi
         if visit:
@@ -378,7 +385,7 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
         badline = badline << layer_size | badline << n3 | badline << 1
         full_at = (nonzero & ~bad) >> above << above
         line_at = (twos & ~badline) >> above << above
-        if visit or not held:  # no memo in the listing, no layer to split at the root
+        if visit or not held:  # no states in the listing, no layer to split at the root
             children(full_at, line_at, left, full, held, free, clash, comp, out)
             return
         if left == 1:
@@ -386,10 +393,11 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
             children(0, line_at, 1, full, held, free, clash, comp, out)
             return
         start = a * layer_size  # the first weight of layer a
-        split = start + layer_size  # the first weight past it
-        full_in, line_in = full_at & (1 << split) - 1, line_at & (1 << split) - 1
-        children(full_in, line_in, left, full, held, free, clash, comp, out)
-        full_at, line_at = full_at ^ full_in, line_at ^ line_in
+        inside = (1 << start + layer_size) - 1  # the weights up to layer a
+        children(full_at & inside, line_at & inside, left, full, held, free, clash, comp, out)
+        full_at, line_at = full_at & ~inside, line_at & ~inside
+        if not full_at | line_at:
+            return
         roots: dict[tuple, int] = {}
         labels, lines = [], []
         m = (held ^ full) >> start  # the line variables of layer a
@@ -400,23 +408,27 @@ def _layer_transfer(params: ReflexiveParams, order: int, visit=None) -> list[int
                 roots[t] = len(lines)
                 lines.append(t[1])
             labels.append(roots[t])
-        key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)
+        held_a, full_a = held >> start, full >> start  # F | P and F from layer a on
+        key = (held_a, full_a, tuple(labels), tuple(lines))
         open_free = lines.count(None)
-        tail = memo.get(key)
-        if tail is None:
-            tail = [0] * (left + 1)
-            children(full_at, line_at, left, full, held, open_free, False, comp, tail)
-            memo[key] = tail
-        closed = free - open_free
-        for k, x in enumerate(tail, ~left):
-            out[k] += x << closed
+        state = states[a].setdefault(key, [0, full_at, line_at, held_a, full_a, open_free, comp])
+        state[0] += series << (top - left) * width + free - open_free
 
     out = [0] * (order + 1)
+    series, top = 1, order  # the searching state's S and left: the root's
     node(order, 0, 0, 0, False, {}, out)
-    # the closures reach one another through their cells; unlinking
-    # them frees the memo now, not at the next collection
-    del children, node
-    return out
+    total = 0
+    for a in range(n1):
+        start = a * layer_size
+        for s, full_at, line_at, held, full, free, comp in states[a].values():
+            series = s & (1 << (order + 1) * width) - 1
+            top = order - ((series & -series).bit_length() - 1) // width
+            tail = [0] * (top + 1)
+            children(full_at, line_at, top, full << start, held << start, free, False, comp, tail)
+            total += series * sum(x << k * width for k, x in enumerate(tail))
+        states[a] = None  # every state of layer a is searched
+    del children, node  # unlink the closures' cycle: the tables go now, not at a collection
+    return [x + (total >> k * width & (1 << width) - 1) for k, x in enumerate(out)]
 
 
 def stratum_euler(cs: ConstraintSystem) -> int:

@@ -88,17 +88,18 @@ class ReflexiveParams:
         )
 
     def dim_at(self, w1: int, w2: int, w3: int) -> int:
-        """Fiber dimension at w, unchecked: w >= g_i when w passes v in
-        the two coordinates where g_i is nonzero, so passing v in 0 .. 3
-        coordinates gives dimension max(passes - 1, 0)."""
-        return (0, 0, 1, 2)[(w1 >= self.v1) + (w2 >= self.v2) + (w3 >= self.v3)]
+        """Fiber dimension at w, unchecked: 0 off the orthant; on it, w >= g_i
+        when w passes v in the two coordinates where g_i is nonzero, so
+        passing v in 0 .. 3 coordinates gives dimension max(passes - 1, 0)."""
+        passes = (w1 >= self.v1) + (w2 >= self.v2) + (w3 >= self.v3)
+        return (0, 0, 1, 2)[passes] if min(w1, w2, w3) >= 0 else 0
 
     @staticmethod
     def image_line(k: int) -> tuple[int, int]:
         """The line onto which x_k carries a 1-dimensional fiber stepping
         into the cone w >= v: that fiber lies below v in coordinate k
         only, so it is the line _LINES[k-1] of C^2 itself."""
-        return _LINES[k - 1]
+        return _LINES[_direction(k) - 1]
 
     def fiber_masks(self, window: Weight) -> tuple[int, int]:
         """Bitmasks D1, D2 of the weights in the window [0, n1) x [0, n2) x
@@ -107,6 +108,13 @@ class ReflexiveParams:
         d2 = _cone_mask(self.triple, window)
         c1, c2, c3 = (_cone_mask(g, window) for g in self.generator_weights())
         return (c1 | c2 | c3) & ~d2, d2
+
+
+def _direction(k) -> int:
+    """k, checked to be the direction 1, 2 or 3 (an int, not a bool)."""
+    if type(k) is not int or k not in (1, 2, 3):
+        raise ValueError(f"direction k must be 1, 2 or 3, got {k!r}")
+    return k
 
 
 def _cone_mask(lo: Weight, window: Weight) -> int:
@@ -179,12 +187,11 @@ def mult_matrix(v, w, k: int) -> MultMap:
     """Multiplication by x_k on fibers: the inclusion F_w <= F_{w + e_k}
     in the fibers' bases.  Into C^2 a column is the source vector itself;
     into a line it is (1,), since a nonzero source is that same line."""
-    if type(k) is not int or k not in (1, 2, 3):
-        raise ValueError(f"direction k must be 1, 2 or 3, got {k!r}")
+    e = _E[_direction(k) - 1]
     params = ReflexiveParams.of(v)
     w = _int_triple(w)
     src = fiber(params, w)
-    tgt = fiber(params, tuple(w[i] + _E[k - 1][i] for i in range(3)))
+    tgt = fiber(params, tuple(w[i] + e[i] for i in range(3)))
     cols = src.basis if tgt.dim == 2 else ((1,),) * src.dim
     matrix = tuple(tuple(col[r] for col in cols) for r in range(tgt.dim))
     return MultMap(w, k, matrix)

@@ -2,18 +2,18 @@
 
 Each mutant replaces one snippet of ``quotbox/quotfixed.py`` (the snippet
 must occur exactly once) and runs as a fresh module, registered in
-``sys.modules`` only while it runs.  For the mutants of the memoised
-walk the check is the ``product`` claim, ``verify_product_formula``: the
-engine series against the closed form.  It must pass on the mutant at
-order - 1 and fail at the listed order, with the first mismatch at the
-listed coefficient, and without an exception.  That coefficient can be
-order - 1: a node with one unit of drop left builds no memo key, so the
-walk to order m can miss a memo fault that the walk to order m + 1 shows
-at coefficient m.  A few mutants raise at the listed order instead, and
-must still pass at order - 1.  The deep mutants fail only past tier-1's
-orders, so their test runs in the deep tier (``pytest -m deep``).  The
-image-line mutant patches the module interface,
-``ReflexiveParams.image_line``, instead of the source.
+``sys.modules`` only while it runs.  For the mutants of the layer
+transfer the check is the ``product`` claim, ``verify_product_formula``:
+the engine series against the closed form.  It must pass on the mutant
+at order - 1 and fail at the listed order, with the first mismatch at
+the listed coefficient, and without an exception.  That coefficient can
+be order - 1: a node with one unit of drop left files no state, so the
+walk to order m can miss a fault in the states that the walk to order
+m + 1 shows at coefficient m.  A few mutants raise at the listed order
+instead, and must still pass at order - 1.  The deep mutants fail only
+past tier-1's orders, so their test runs in the deep tier
+(``pytest -m deep``).  The image-line mutant patches the module
+interface, ``ReflexiveParams.image_line``, instead of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
@@ -39,44 +39,52 @@ from quotbox.verify import verify_product_formula
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
 
-KEY = "key = (start, held >> start, full >> start, tuple(labels), tuple(lines), left)"
+KEY = "key = (held_a, full_a, tuple(labels), tuple(lines))"
+EDGE = "state[0] += series << (top - left) * width + free - open_free"
 RELABEL = "return {y: tag if t in joined else t for y, t in comp.items() if y >= lo}"
 
 # label: (snippet, replacement, v, first order at which the claim fails, its
 # first mismatch)
 MUTANTS = {
-    "closing factor dropped": ("out[k] += x << closed", "out[k] += x", (1, 1, 1), 7, 6),
+    "closing factor dropped": (
+        EDGE, "state[0] += series << (top - left) * width", (1, 1, 1), 7, 6,
+    ),
     "key without lines": (
         KEY,
-        "key = (start, held >> start, full >> start, tuple(labels), left)",
+        "key = (held_a, full_a, tuple(labels))",
         (2, 1, 1),
         7,
         6,
     ),
     "key with only a forced flag per line": (
         KEY,
-        "key = (start, held >> start, full >> start, tuple(labels),"
-        " tuple(l is None for l in lines), left)",
+        "key = (held_a, full_a, tuple(labels), tuple(l is None for l in lines))",
         (1, 1, 1),
         11,
         11,
     ),
-    "key without the layer index": (
-        KEY,
-        "key = (held >> start, full >> start, tuple(labels), tuple(lines), left)",
-        (1, 2, 3),
-        5,
-        4,
-    ),
     "key without F | P": (
         KEY,
-        "key = (start, full >> start, tuple(labels), tuple(lines), left)",
+        "key = (full_a, tuple(labels), tuple(lines))",
         (2, 2, 1),
         11,
         11,
     ),
     "tail added one coefficient late": (
-        "enumerate(tail, ~left)", "enumerate(tail, -left)", (1, 1, 1), 3, 0,
+        "enumerate(tail)", "enumerate(tail, 1)", (1, 1, 1), 3, 2,
+    ),
+    "edge added one coefficient late": (
+        "(top - left) * width", "(top - left + 1) * width", (1, 1, 1), 3, 2,
+    ),
+    "a state searched from its largest drop": (
+        "((series & -series).bit_length() - 1) // width",
+        "(series.bit_length() - 1) // width",
+        (1, 1, 1),
+        4,
+        4,
+    ),
+    "packed fields too narrow": (
+        "width = 5 * order + 5", "width = (order + 1).bit_length()", (1, 1, 1), 3, 3,
     ),
     "packing base one low": (
         "max(c) + max(order, 1) for c",
@@ -142,7 +150,7 @@ MUTANTS = {
         RELABEL,
         "comp.update({y: tag for y, t in comp.items() if t in joined}); return comp",
         (1, 1, 1),
-        7,
+        6,
         6,
     ),
 }
@@ -161,6 +169,11 @@ RAISING_MUTANTS = {
         8,
         KeyError,
     ),
+    # a later layer's table is searched first and dropped, and an earlier
+    # state files into it
+    "layers processed in reverse": (
+        "for a in range(n1):", "for a in reversed(range(n1)):", (1, 1, 1), 4, AttributeError,
+    ),
 }
 
 # the mutants of the walk's line rule, and those of its components that
@@ -175,13 +188,13 @@ RULE_MUTANTS = (
     "a child relabels its parent's tags in place",
 )
 
-# the listing walk's node: every child walked in place, no memo
-LISTING = "if visit or not held:  # no memo in the listing, no layer to split at the root"
+# the listing walk's node: every child walked in place, no state filed
+LISTING = "if visit or not held:  # no states in the listing, no layer to split at the root"
 
 # label: (snippet, replacement) of the branches only a visitor takes
 WALK_MUTANTS = {
     "visiting prunes clash pairs": ("if not cl or visit:", "if not cl:"),
-    "visiting uses the memo": (LISTING, "if not held:"),
+    "visiting files states": (LISTING, "if not held:"),
     "a visited leaf reports its parent's chi": (
         "node(left - 1, full, held | low, f, cl, c, out)",
         "node(left - 1, full, held | low, *((f, cl) if left > 1 else (free, clash)), c, out)",
@@ -268,7 +281,7 @@ def test_product_claim_raises_on_mutant(label, monkeypatch):
 DEEP_MUTANTS = {
     "key without full >> start": (
         KEY,
-        "key = (start, held >> start, tuple(labels), tuple(lines), left)",
+        "key = (held_a, tuple(labels), tuple(lines))",
         (1, 1, 1),
         19,
         19,

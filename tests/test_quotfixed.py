@@ -214,15 +214,15 @@ def test_search_visits_exactly_the_consistent_strata():
 
 
 def test_summary_total_matches_pruned_search():
-    # the summary lists the walk with the memo off on v, quot_fixed_euler
-    # sums it memoised on v sorted descending
+    # the summary lists the walk depth-first on v, quot_fixed_euler sums
+    # it as a layer transfer on v sorted descending
     for v, n in SEARCH_CASES:
         assert fixed_locus_summary(v, n).total == quot_fixed_euler(v, n)
 
 
 def test_transfer_matches_search_per_drop():
-    # one walk, run twice: the listing run has the memo off, so this
-    # checks exactly the memo
+    # one walk, run twice: the listing run files no states, so this
+    # checks exactly the transfer
     for v in GRID:
         params = ReflexiveParams.of(v)
         sums = [0] * 9
@@ -340,10 +340,18 @@ def test_series_matches_closed_form_at_order_ten():
 
 
 def test_series_matches_closed_form_at_order_twelve():
-    # a transfer memo key that keeps whether each component is forced but
+    # a transfer state key that keeps whether each component is forced but
     # not its line first goes wrong here, at order 11; every other case
     # the suite runs on the transfer misses it
     assert quot_series((1, 1, 1), 12, guard=12) == quot_closed_form((1, 1, 1), 12)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("v, order", [((3, 3, 3), 20), ((8, 2, 1), 20), ((1, 1, 1), 24)])
+def test_product_claim_at_depth(v, order):
+    # the packed series are widest here, and the transfer files tens of
+    # thousands of states
+    assert verify_product_formula(v, order, guard=order).ok
 
 
 def test_permutation_invariance():
@@ -442,7 +450,7 @@ def test_guards(monkeypatch):
 
 def test_search_and_transfer_leave_no_cycles():
     # the walk's closures are unlinked when it finishes, listing or not,
-    # so their memo is freed at once, not by the collector
+    # so their state tables are freed at once, not by the collector
     gc.collect()
     gc.disable()
     try:

@@ -90,16 +90,16 @@ def test_fiber_respects_v():
 
 
 def test_fiber_dim_matches_fiber():
-    # at every weight, negative ones included; and the walk's closed form
-    # dim_at, which is only ever read on w >= 0, agrees there
+    # at every weight, negative ones included, and so does the reference's
+    # closed form dim_at
     for v in GRID:
         params = ReflexiveParams.of(v)
         for w in itertools.product(range(-2, 7), repeat=3):
             dim = fiber(v, w).dim
-            assert fiber_dim(v, w) == dim, (v, w)
-            if min(w) >= 0:
-                assert params.dim_at(*w) == dim, (v, w)
-    assert fiber_dim((1, 1, 1), (-1, 5, 5)) == fiber_dim((1, 1, 1), (5, -1, 5)) == 0
+            assert fiber_dim(v, w) == params.dim_at(*w) == dim, (v, w)
+    params = ReflexiveParams(1, 1, 1)
+    for w in [(-1, 5, 5), (5, -1, 5), (5, 5, -1)]:
+        assert fiber_dim(params, w) == params.dim_at(*w) == 0
 
 
 @pytest.mark.parametrize("v", GRID + [(1, 1, 8), (8, 2, 1)])
@@ -216,9 +216,14 @@ def test_mult_matrix_examples():
 
 
 def test_mult_matrix_rejects_bad_direction():
-    for k in (4, 0, True, 1.0, "1"):
-        with pytest.raises(ValueError):
+    # and so does image_line, which would read k = 0 as the line of k = 3
+    for k in (4, 0, -1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="direction k"):
             mult_matrix((1, 1, 1), (0, 0, 0), k)
+        with pytest.raises(ValueError, match="direction k"):
+            ReflexiveParams.image_line(k)
+        with pytest.raises(ValueError, match="direction k"):
+            ReflexiveParams(2, 1, 1).image_line(k)
     with pytest.raises(ValueError):
         mult_matrix((1, 1, 1), (1.5, 1, 0), 3)
 
