@@ -13,10 +13,10 @@ total is at most a budget, visiting each exactly once.  The stack walker
 ``_count_stacks`` walks the same stacks without building them: it adds
 each one to the count of its total, by its own increment, inside its
 parent's loop, so one walk counts every size.  Both read the rows that
-may follow a row from ``_RowLists``, one list per row and binding
-budget.  The tally never reuses a count between stacks: counting each
-stack itself keeps it a brute-force route, independent of the DP, which
-sums counts over rows.
+may follow a row from ``_ROWS``, one list per row and binding budget,
+shared by every walk in the process and bounded.  It shares no counts:
+counting each stack itself keeps the tally a brute-force route,
+independent of the DP, which sums counts over rows.
 
 Three independent counting routes are provided for box-bounded partitions,
 kept deliberately separate so they can check each other:
@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 
 from .series import (
-    TruncatedSeries, _box_triple, _dominates, _int_triple, _json_fields, _json_list,
-    _series_order, _unpacked,
+    TruncatedSeries, _box_count, _box_triple, _dominates, _int_triple, _json_fields,
+    _json_list, _series_order, _unpacked,
 )
 
 __all__ = [
@@ -179,7 +179,7 @@ def _rows_fitting(bound, budget):
 
 class _RowLists(dict):
     """rows[last, left]: the rows that may follow last, each with its sum,
-    as _rows_fitting(last, left) lists them.  Each walk makes its own.
+    as _rows_fitting(last, left) lists them.  One table, _ROWS, serves all walks.
 
     No row under last sums past sum(last), so every left above it lists
     the same rows: one list is built per (last, min(left, sum(last))),
@@ -194,6 +194,18 @@ class _RowLists(dict):
         return rows
 
 
+_ROW_TABLE_BOUND = 4096  # keys _ROWS may hold as a walk starts; see _row_lists
+_ROWS = _RowLists()
+
+
+def _row_lists() -> _RowLists:
+    """_ROWS, emptied first if it holds more than _ROW_TABLE_BOUND keys: stanley
+    on (3,3,4), hilb and rank2free at order 12 file 561, (4,4,4) alone 1,690."""
+    if len(_ROWS) > _ROW_TABLE_BOUND:
+        _ROWS.clear()
+    return _ROWS
+
+
 def _stacks(bound, budget, max_rows):
     """Every row stack with total <= budget, together with that total.
 
@@ -202,7 +214,7 @@ def _stacks(bound, budget, max_rows):
     one of them.  Each stack is visited exactly once, depth first and
     unsorted.
     """
-    rows = _RowLists()
+    rows = _row_lists()
     todo = [((), bound, 0)]
     while todo:
         stack, last, total = todo.pop()
@@ -223,7 +235,7 @@ def _count_stacks(bound, budget, max_rows) -> list[int]:
     still grow, with a row left and total below budget.  The explicit
     stack holds (last row, total, rows left).
     """
-    rows = _RowLists()
+    rows = _row_lists()
     counts = [0] * (budget + 1)
     counts[0] = 1  # the empty stack
     todo = [(bound, 0, max_rows)] if max_rows > 0 and budget > 0 else []
@@ -255,14 +267,6 @@ def enumerate_plane_partitions(
         if total == n
     ]
     return sorted(found, key=lambda p: p.rows)
-
-
-def _box_count(v1: int, v2: int, v3: int) -> int:
-    """MacMahon's count of plane partitions in a v1 x v2 x v3 box,
-    prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k)."""
-    # the product telescopes in k to prod (i+j+v3-1)/(i+j-1), an exact quotient
-    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
-    return math.prod(h + v3 for h in hooks) // math.prod(hooks)
 
 
 def count_box_partitions(v) -> list[int]:

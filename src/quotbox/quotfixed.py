@@ -87,17 +87,18 @@ class Coprofile:
     entries: tuple[tuple[Weight, int], ...]
 
     def __post_init__(self):
-        norm = tuple((_int_triple(w), c) for w, c in self.entries)
-        object.__setattr__(self, "entries", norm)
-        prev = None
-        for w, c in norm:
-            if prev is not None and w <= prev:
-                raise ValueError("entries must be sorted by weight, no repeats")
-            if min(w) < 0:
+        norm, prev = [], (-1,)  # (-1,) sorts below every weight >= 0
+        for w, c in self.entries:
+            w = _int_triple(w)
+            if w[0] < 0 or w[1] < 0 or w[2] < 0:
                 raise ValueError("weights must be >= 0")
+            if w <= prev:
+                raise ValueError("entries must be sorted by weight, no repeats")
             if type(c) is not int or c < 1:
                 raise ValueError("dimension drops must be ints >= 1")
+            norm.append((w, c))
             prev = w
+        object.__setattr__(self, "entries", tuple(norm))
 
     @property
     def n(self) -> int:

@@ -17,6 +17,13 @@ is checked against:
   macmahon(order)^2 * box_product(v, order) for graded quotients of the
   rank-2 module attached to v.
 
+They and every product of series run through the ring map q -> 2^W from
+Z[q]/(q^N) to Z/2^(N*W): one int per series, coefficient n in bit field n,
+exact when each coefficient of the result fits its field.  W comes from a
+bound each docstring proves: n * max|a| * max|b| and a sign bit for a
+product of n terms (``_product``), order + 1 for macmahon, and the box's
+count for box_product.
+
 Serialization uses decimal strings for coefficients so files stay readable
 and width-independent: {"order": N, "coeffs": ["1", "3", ...]}.
 """
@@ -24,6 +31,7 @@ and width-independent: {"order": N, "coeffs": ["1", "3", ...]}.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -110,19 +118,11 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        """The product with a series of this order (see _product) or an int, not a bool."""
+        if type(other) is int:
             return TruncatedSeries(self.order, tuple(other * a for a in self.coeffs))
         self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(self.order, _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -196,10 +196,23 @@ class TruncatedSeries:
 
 def _unpacked(packed: int, width: int, order: int) -> TruncatedSeries:
     """The series whose q^n coefficient is bit field n of packed, width bits wide."""
-    field = (1 << width) - 1
-    return TruncatedSeries(
-        order, tuple((packed >> width * n) & field for n in range(order + 1))
-    )
+    field, shifts = (1 << width) - 1, range(0, width * (order + 1), width)
+    return TruncatedSeries(order, tuple([packed >> s & field for s in shifts]))
+
+
+def _product(a, b) -> tuple[int, ...]:
+    """The first n coefficients of a * b, for coefficient tuples of one
+    length n, by one int multiply.  Each is a sum of at most n terms, so
+    |c| < 2^(w-1), and with 2^(w-1) added to each kept field it holds
+    c + 2^(w-1) in [0, 2^w); the terms past q^(n-1) add multiples of 2^(n*w)."""
+    n = len(a)
+    width = (n * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    half, field, kept = 1 << width - 1, (1 << width) - 1, (1 << width * n) - 1
+    shifts = range(0, width * n, width)
+    packed = sum([x << s for x, s in zip(a, shifts)])
+    packed *= sum([x << s for x, s in zip(b, shifts)])
+    packed = packed + half * (kept // field) & kept  # + 2^(w-1) per field
+    return tuple([(packed >> s & field) - half for s in shifts])
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -258,13 +271,16 @@ def macmahon(order: int) -> TruncatedSeries:
     """MacMahon's function prod_{k>=1} (1 - q^k)^(-k) up to q^order.
 
     The q^n coefficient counts plane partitions of n.  The series is one int
-    with coefficient n in bit field n of W = (3^order).bit_length() bits, and
-    each factor (1 - q^k)^(-k) = sum_j C(j+k-1, j) q^(jk) is order // k + 1
-    shift-adds, masked to order + 1 fields.  No kept field carries: field n of
-    every partial product is at most M_n <= 3^n < 2^W, since log M = sum_n
-    sigma_2(n) q^n / n <= log 1/(1-3q) coefficientwise, as sigma_2(n) <= 3^n.
+    with coefficient n in bit field n of W = order + 1 bits, and each factor
+    (1 - q^k)^(-k) = sum_j C(j+k-1, j) q^(jk) is order // k + 1 shift-adds,
+    masked to order + 1 fields.  No kept field carries: field n of every
+    partial product is at most M_n < 2^(n+1) <= 2^W.  As sigma_2(n) <= 2^n
+    but at n = 2, 3, 4 (sigma_2(n) < 1.65 n^2 <= 2^n from n = 7 on),
+    log M = sum_n sigma_2(n) q^n / n <= log 1/(1-2q) + E coefficientwise,
+    E = q^2/2 + 2q^3/3 + 5q^4/4.  All these are nonnegative, so M <= exp(E)/(1-2q)
+    and M_n <= sum_k [q^k]exp(E) 2^(n-k) <= 2^n exp(E(1/2)) = 2^n e^0.2865 < 2^(n+1).
     """
-    width = (3 ** _series_order(order)).bit_length()
+    width = _series_order(order) + 1
     fields = (1 << width * (order + 1)) - 1
     a = 1
     for k in range(1, order + 1):
@@ -286,6 +302,14 @@ def _box_triple(v) -> tuple[int, int, int]:
     return v
 
 
+def _box_count(v1: int, v2: int, v3: int) -> int:
+    """MacMahon's count of plane partitions in a v1 x v2 x v3 box,
+    prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k)."""
+    # the product telescopes in k to prod (i+j+v3-1)/(i+j-1), an exact quotient
+    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+    return math.prod(h + v3 for h in hooks) // math.prod(hooks)
+
+
 def box_product(v, order: int | None = None) -> TruncatedSeries:
     """Generating polynomial of plane partitions inside a v1 x v2 x v3 box.
 
@@ -294,24 +318,25 @@ def box_product(v, order: int | None = None) -> TruncatedSeries:
         prod_{i=1..v1, j=1..v2} (1 - q^(i+j+v3-1)) / (1 - q^(i+j-1)),
 
     whose denominator exponents are always >= 1, so no 0/0 factor appears.
-    Each factor is applied in place to one coefficient list: a numerator
-    factor by a descending pass, a denominator factor by an ascending one,
-    2 * v1 * v2 passes of at most order + 1 additions.  Every pass is
-    exact on the truncated series, so the result equals num * den^(-1).
+    The series is one int mod 2^((order+1) * W), W = _box_count(v).bit_length():
+    a numerator factor is one shift-subtract, 1/(1 - q^e) the doubling
+    product (1 + q^e)(1 + q^2e)(1 + q^4e)... up to the order, each masked.
+    q -> 2^W is a ring map from Z[q]/(q^(order+1)), so the int ends as the
+    image of the result whatever negative or carried fields came between,
+    and its coefficients, in [0, _box_count(v)] below 2^W, decode exactly.
     The result is a polynomial of degree v1*v2*v3 (symmetric in v and
     palindromic); order defaults to exactly that degree.
     """
     v1, v2, v3 = _box_triple(v)
     order = v1 * v2 * v3 if order is None else _series_order(order)
-    a = [1] + [0] * order
-    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
-    for e in [h + v3 for h in hooks]:
-        for n in range(order, e - 1, -1):  # descending: a[n - e] is still old
-            a[n] -= a[n - e]
-    for e in hooks:
-        for n in range(e, order + 1):  # ascending: a[n - e] is already divided
-            a[n] += a[n - e]
-    return TruncatedSeries(order, tuple(a))
+    width = _box_count(v1, v2, v3).bit_length()
+    fields = (1 << width * (order + 1)) - 1
+    a = 1
+    for e in (i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)):
+        a = (a - (a << width * (e + v3))) & fields
+        for t in range((order // e).bit_length()):  # the e * 2^t <= order
+            a = (a + (a << width * (e << t))) & fields
+    return _unpacked(a, width, order)
 
 
 def quot_closed_form(v, order: int) -> TruncatedSeries:

@@ -12,8 +12,11 @@ walk to order m can miss a fault in the states that the walk to order
 m + 1 shows at coefficient m.  A few mutants raise at the listed order
 instead, and must still pass at order - 1.  The deep mutants fail only
 past tier-1's orders, so their test runs in the deep tier
-(``pytest -m deep``).  The image-line mutant patches the module
-interface, ``ReflexiveParams.image_line``, instead of the source.
+(``pytest -m deep``).  The mutants of the packed kernels of
+``quotbox/series.py`` run the same way, each against the check of
+``tests/test_series.py`` that rejects it.  The image-line mutant
+patches the module interface, ``ReflexiveParams.image_line``, instead
+of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
 series alone, so the ``product`` claim passes on them; the check that
 rejects each is ``test_listing_rejects_walk_mutant``, the summary at
@@ -32,12 +35,16 @@ import sys
 import pytest
 
 import quotbox.quotfixed
+import quotbox.series
 import quotbox.verify
 from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
+from test_series import check_box_product, check_macmahon, check_products
 
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
+with open(quotbox.series.__file__) as fh:
+    SERIES_SOURCE = fh.read()
 
 KEY = "key = (held_a, full_a, tuple(labels), tuple(lines))"
 EDGE = "state[0] += series << (top - left) * width + free - open_free"
@@ -220,16 +227,49 @@ REFERENCE_MUTANTS = {
 }
 
 
+# label: (snippet of series.py, replacement, the check that rejects it, the
+# error it fails with); each check is the body of a tier-1 test of
+# tests/test_series.py: check_products of test_product_matches_schoolbook,
+# check_box_product of test_box_product_matches_list_passes and
+# check_macmahon of test_macmahon_matches_sigma2_recurrence
+SERIES_MUTANTS = {
+    # width 0 for the zero series, a negative shift; one * one reads -1
+    "no sign bit in the product width": (
+        "max(map(abs, b))).bit_length() + 1", "max(map(abs, b))).bit_length()",
+        check_products, ValueError,
+    ),
+    "product decoded without the 2^(w-1) offset": (
+        "half, field, kept = 1 << width - 1,", "half, field, kept = 0,", check_products,
+        AssertionError,
+    ),
+    "doubling stops below the order": (
+        "range((order // e).bit_length())", "range(((order - 1) // e).bit_length())",
+        check_box_product, AssertionError,
+    ),
+    # M_n < 2^n at every order from 1 to 1000, so width order is only
+    # wrong at order 0, where it is 0 and the decode's step 0 raises; width
+    # order - 1 raises at orders 0 and 1 and reads M_n wrong at 2 .. 9,
+    # where M_n >= 2^(n-1)
+    "macmahon width order": (
+        "width = _series_order(order) + 1", "width = _series_order(order)",
+        check_macmahon, ValueError,
+    ),
+    "macmahon width order - 1": (
+        "width = _series_order(order) + 1", "width = _series_order(order) - 1",
+        check_macmahon, ValueError,
+    ),
+}
+
+
 @contextlib.contextmanager
-def mutant(snippet, replacement):
-    assert SOURCE.count(snippet) == 1, snippet
-    name = "quotbox._mutant_quotfixed"
+def mutant(snippet, replacement, source=SOURCE, name="quotbox._mutant_quotfixed"):
+    assert source.count(snippet) == 1, snippet
     spec = importlib.util.spec_from_loader(name, None)
     module = importlib.util.module_from_spec(spec)
     module.__package__ = "quotbox"  # so its relative imports resolve
     sys.modules[name] = module
     try:
-        code = compile(SOURCE.replace(snippet, replacement), name, "exec")
+        code = compile(source.replace(snippet, replacement), name, "exec")
         exec(code, module.__dict__)
         yield module
     finally:
@@ -352,3 +392,21 @@ def test_walk_rejects_reference_mutant(label):
         got = [reference(module, (1, 1, 1), m) for m in (n - 1, n)]
     walk = [listing(quotbox.quotfixed, (1, 1, 1), m) for m in (n - 1, n)]
     assert got[0] == walk[0] and got[1] != walk[1]
+
+
+@pytest.mark.parametrize("label", SERIES_MUTANTS)
+def test_series_check_rejects_mutant(label):
+    snippet, replacement, check, error = SERIES_MUTANTS[label]
+    with mutant(snippet, replacement, SERIES_SOURCE, "quotbox._mutant_series") as module:
+        with pytest.raises(error):
+            check(module)
+    assert "quotbox._mutant_series" not in sys.modules
+
+
+def test_unmutated_series_passes_the_checks():
+    # the harness itself changes nothing: series.py run as a fresh module
+    # passes every check
+    width = "width = _series_order(order) + 1"
+    with mutant(width, width, SERIES_SOURCE, "quotbox._mutant_series") as module:
+        for check in (check_products, check_box_product, check_macmahon):
+            check(module)

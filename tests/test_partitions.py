@@ -171,6 +171,34 @@ def test_tally_matches_stack_walker():
     assert len(rows[(3, 2), 4]) == len(rows[(3, 2), 5]) - 1
 
 
+def test_row_table_is_shared_and_bounded(monkeypatch):
+    # the counts of a walk do not depend on what the one row table already
+    # holds: on an empty table each time (a bound of 0 empties it before
+    # every walk), boxes then pairs, pairs then boxes, and after a clear
+    def boxes():
+        return count_box_partitions((3, 4, 3))
+
+    def pairs():
+        return count_partition_pairs(12)
+
+    monkeypatch.setattr(partitions, "_ROW_TABLE_BOUND", 0)
+    want = boxes(), pairs()
+    assert len(partitions._ROWS) == 280  # pairs' walk alone
+    monkeypatch.undo()
+    partitions._ROWS.clear()
+    assert (boxes(), pairs()) == want
+    filed = len(partitions._ROWS)
+    assert (boxes(), pairs()) == want and len(partitions._ROWS) == filed  # nothing new
+    partitions._ROWS.clear()
+    assert (pairs(), boxes()) == want[::-1]
+    # a walk on a table past the bound starts on an empty one
+    partitions._ROWS.clear()
+    count_box_partitions((4, 4, 4))
+    assert 0 < len(partitions._ROWS) <= partitions._ROW_TABLE_BOUND
+    monkeypatch.setattr(partitions, "_ROW_TABLE_BOUND", len(partitions._ROWS) - 1)
+    assert pairs() == want[1] and len(partitions._ROWS) == 280
+
+
 def test_count_box_matches_golden():
     for v, coeffs in GOLDEN_BOXES.items():
         assert count_box_partitions(v) == coeffs

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import quotbox.series
 from conftest import load_count_table
 from quotbox.series import (
     TruncatedSeries,
@@ -18,6 +19,80 @@ def rand_series(rng, order=6, span=9):
     return TruncatedSeries(
         order, tuple(rng.randint(-span, span) for _ in range(order + 1))
     )
+
+
+def schoolbook(a, b):
+    """The first len(a) coefficients of a * b by the double loop over
+    coefficient pairs: the reference for the packed product."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j in range(n - i):
+            out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def box_passes(v, order):
+    """The coefficients of box_product(v, order) by in-place passes over
+    one list, factor by factor of the telescoped product: the reference
+    for the packed int."""
+    v1, v2, v3 = v
+    a = [1] + [0] * order
+    hooks = [i + j - 1 for i in range(1, v1 + 1) for j in range(1, v2 + 1)]
+    for e in [h + v3 for h in hooks]:
+        for n in range(order, e - 1, -1):  # descending: a[n - e] is still old
+            a[n] -= a[n - e]
+    for e in hooks:
+        for n in range(e, order + 1):  # ascending: a[n - e] is already divided
+            a[n] += a[n - e]
+    return tuple(a)
+
+
+def sigma2_macmahon(order):
+    """M_0 .. M_order from n * M_n = sum_k sigma_2(k) * M_(n-k), a route
+    that shares nothing with the packed product."""
+    sigma2 = [sum(d * d for d in range(1, k + 1) if k % d == 0) for k in range(order + 1)]
+    want = [1]
+    for n in range(1, order + 1):
+        want.append(sum(sigma2[k] * want[n - k] for k in range(1, n + 1)) // n)
+    return want
+
+
+def check_products(series):
+    """series' * against the schoolbook loop at orders 0 .. 30: random
+    signed coefficients up to 2^200, the zero series, one and monomials."""
+    rng = random.Random(33)
+    S = series.TruncatedSeries
+    for order in range(31):
+        sides = [S.zero(order), S.one(order)] + [
+            S.monomial(order, rng.randint(0, order), rng.choice((-1, 1)) << bits)
+            for bits in (0, 200)
+        ] + [
+            S(order, tuple(rng.randint(-1 << bits, 1 << bits) for _ in range(order + 1)))
+            for bits in (1, 64, 200)
+        ]
+        for a, b in itertools.product(sides, repeat=2):
+            assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs), (a, b)
+
+
+def check_box_product(series):
+    """series.box_product against the list passes on every v in {1..5}^3
+    at orders 0, 3, the degree and the degree + 10."""
+    for v in itertools.product(range(1, 6), repeat=3):
+        degree = v[0] * v[1] * v[2]
+        for order in (0, 3, degree, degree + 10):
+            assert series.box_product(v, order).coeffs == box_passes(v, order), (v, order)
+
+
+def check_macmahon(series):
+    """series.macmahon against the sigma_2 recurrence through order 200,
+    at every order up to 12 and at 200, and below the packing bound
+    M_n < 2^(n+1)."""
+    want = sigma2_macmahon(200)
+    for order in [*range(1, 13), 200]:
+        assert list(series.macmahon(order).coeffs) == want[: order + 1], order
+    assert all(c < 2 ** (n + 1) for n, c in enumerate(want))
+    assert series.macmahon(0).coeffs == (1,)
 
 
 def test_constructor_validates():
@@ -75,6 +150,13 @@ def test_order_mismatch_raises():
     # an int is a scalar factor, never a constant series to add
     with pytest.raises(TypeError):
         a + 1
+    # a bool is no int scalar, as it is no coefficient, exponent or order;
+    # a float is none either
+    for scalar in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            a * scalar
+        with pytest.raises(TypeError):
+            scalar * a
 
 
 def test_monomial_beyond_order_vanishes():
@@ -178,17 +260,23 @@ def test_macmahon_matches_inverse_power_product():
 
 
 def test_macmahon_matches_sigma2_recurrence():
-    # n * M_n = sum_k sigma_2(k) * M_(n-k), a route that shares nothing with
-    # the packed product; M_n <= 3^n is the bound the packing width rests on
-    order = 200
-    sigma2 = [sum(d * d for d in range(1, k + 1) if k % d == 0) for k in range(order + 1)]
-    want = [1]
-    for n in range(1, order + 1):
-        want.append(sum(sigma2[k] * want[n - k] for k in range(1, n + 1)) // n)
-    m = macmahon(order)
-    assert list(m.coeffs) == want
-    assert all(c <= 3 ** n for n, c in enumerate(m.coeffs))
-    assert macmahon(0).coeffs == (1,) and macmahon(1).coeffs == (1, 1)
+    # M_n < 2^(n+1) is the bound the packing width order + 1 rests on
+    check_macmahon(quotbox.series)
+
+
+@pytest.mark.deep
+def test_macmahon_matches_sigma2_recurrence_deep():
+    want = sigma2_macmahon(1000)
+    assert list(macmahon(1000).coeffs) == want
+    assert all(c < 2 ** (n + 1) for n, c in enumerate(want))
+
+
+def test_product_matches_schoolbook():
+    check_products(quotbox.series)
+
+
+def test_box_product_matches_list_passes():
+    check_box_product(quotbox.series)
 
 
 def test_box_product_matches_quotient_of_products():
@@ -254,6 +342,14 @@ def test_box_product_shape():
         assert bp.degree() == vol
         assert bp[0] == 1
         assert bp.is_palindromic()
+
+
+@pytest.mark.deep
+def test_quot_closed_form_matches_reference_products_deep():
+    order = 400
+    m = tuple(sigma2_macmahon(order))
+    want = schoolbook(schoolbook(m, m), box_passes((5, 5, 5), order))
+    assert quot_closed_form((5, 5, 5), order).coeffs == want
 
 
 def test_quot_closed_form_frozen():
