@@ -3,7 +3,7 @@
 Run with: python demos/01_series_products.py
 """
 
-from quotbox import TruncatedSeries, box_product, macmahon, quot_closed_form
+from quotbox import box_product, macmahon, quot_closed_form
 
 print("MacMahon's function counts plane partitions by total size:")
 m = macmahon(10)
@@ -33,6 +33,3 @@ try:
     macmahon(4) + macmahon(5)
 except ValueError as exc:
     print(" ", exc)
-
-print("\nSeries serialize with decimal-string coefficients:")
-print(" ", TruncatedSeries.from_coeffs([1, -3, 12]).to_json())

@@ -40,13 +40,12 @@ the bound, rather than grinding or exhausting memory.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 from .series import (
-    TruncatedSeries, _box_count, _box_triple, _dominates, _int_triple, _json_fields,
-    _json_list, _series_order, _unpacked,
+    TruncatedSeries, _box_count, _box_triple, _dominates, _int_triple, _series_order,
+    _unpacked,
 )
 
 __all__ = [
@@ -142,18 +141,6 @@ class PlanePartition:
         if pp.boxes() != boxes:
             raise ValueError("box set is not downward closed")
         return pp
-
-    def to_triples(self) -> list[list[int]]:
-        return [list(t) for t in sorted(self.boxes())]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_triples())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlanePartition":
-        """Read what to_json writes, a list of box triples; anything else
-        is a ValueError."""
-        return cls.from_boxes(_json_list(json.loads(text), "a partition"))
 
 
 def _rows_fitting(bound, budget):
@@ -399,21 +386,6 @@ class MonomialIdeal:
 
     def colength(self) -> int:
         return len(self.staircase())
-
-    def to_json(self) -> str:
-        data = {"generators": [list(g) for g in self.generators]}
-        if self.box is not None:
-            data["box"] = list(self.box)
-        return json.dumps(data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MonomialIdeal":
-        """Read what to_json writes: a list of generator triples and, for
-        a box quotient, the box; anything else is a ValueError."""
-        data = json.loads(text)
-        (gens,) = _json_fields(data, "generators")
-        box = _box_triple(data["box"]) if "box" in data else None
-        return cls(tuple(_json_list(gens, "generators")), box)
 
 
 def partition_to_monomial_ideal(pp: PlanePartition, box=None) -> MonomialIdeal:

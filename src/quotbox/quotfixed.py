@@ -57,16 +57,13 @@ are guarded at colength ``COLENGTH_GUARD``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .partitions import _guarded
 # bound here for perfbench/spans.TARGETS, which tests/test_bench_bindings.py checks
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix  # noqa: F401
 from .reflexive import _cone_mask
-from .series import (
-    TruncatedSeries, _int_triple, _json_fields, _json_list, _series_order,
-)
+from .series import TruncatedSeries, _int_triple
 
 # the reference layer (enumerate_coprofiles, ConstraintSystem,
 # profile_constraint_system, stratum_euler) is not exported
@@ -110,16 +107,6 @@ class Coprofile:
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.entries)
-
-    def to_jsonable(self):
-        return [[list(w), c] for (w, c) in self.entries]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "Coprofile":
-        """Read what to_jsonable writes, a list of [weight, drop] pairs;
-        anything else is a ValueError."""
-        entries = _json_list(data, "a coprofile")
-        return cls(tuple(_json_list(e, "a coprofile entry") for e in entries))
 
 
 def _entries(held: int, doubles: int, window: Weight) -> list[tuple[Weight, int]]:
@@ -466,50 +453,6 @@ class FixedLocusSummary:
     n: int
     strata: list[StratumRecord]
     total: int
-
-    def to_json(self) -> str:
-        strata = [
-            {"coprofile": s.coprofile.to_jsonable(), "euler": s.euler}
-            for s in self.strata
-        ]
-        return json.dumps(
-            {"v": list(self.v), "n": self.n, "strata": strata, "total": self.total}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FixedLocusSummary":
-        """Read what to_json writes: v a box triple, n an order, strata a
-        list of colength-n coprofiles in lex order of their entries, whose
-        drops fit the fibers of v and whose supports satisfy the
-        reachability rule, each euler 0 or a power of 2 and the total their
-        sum; anything else, a float or a bool included, is a ValueError."""
-        v, n, strata, total = _json_fields(json.loads(text), "v", "n", "strata", "total")
-        params = ReflexiveParams.of(v)
-        records = [
-            StratumRecord(Coprofile.from_jsonable(cop), euler)
-            for cop, euler in (
-                _json_fields(s, "coprofile", "euler")
-                for s in _json_list(strata, "strata")
-            )
-        ]
-        eulers = [r.euler for r in records]
-        if any(type(x) is not int for x in [total] + eulers):
-            raise ValueError("euler and total must be ints")
-        if any(x < 0 or x & (x - 1) for x in eulers):
-            raise ValueError("each euler must be 0 or a power of 2")
-        n = _series_order(n)
-        if total != sum(eulers) or any(r.coprofile.n != n for r in records):
-            raise ValueError("strata must have colength n and total their euler sum")
-        if any(c > params.dim_at(*w) for r in records for w, c in r.coprofile.entries):
-            raise ValueError("a drop exceeds the fiber dimension of v")
-        entries = [r.coprofile.entries for r in records]
-        if any(a >= b for a, b in zip(entries, entries[1:])):
-            raise ValueError("strata must be distinct and in lex order of their entries")
-        for support in (set(r.coprofile.support) for r in records):
-            for w in support.difference(params.generator_weights()):
-                if not any(tuple(map(int.__sub__, w, e)) in support for e in _E):
-                    raise ValueError(f"{w} has no predecessor in the support")
-        return cls(params.triple, n, records, total)
 
 
 def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSummary:

@@ -23,16 +23,11 @@ exact when each coefficient of the result fits its field.  W comes from a
 bound each docstring proves: n * max|a| * max|b| and a sign bit for a
 product of n terms (``_product``), order + 1 for macmahon, and the box's
 count for box_product.
-
-Serialization uses decimal strings for coefficients so files stay readable
-and width-independent: {"order": N, "coeffs": ["1", "3", ...]}.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass
 
 __all__ = ["TruncatedSeries", "box_product", "macmahon", "quot_closed_form"]
@@ -83,6 +78,9 @@ class TruncatedSeries:
         return cls(order, tuple(coeffs))
 
     def __getitem__(self, n: int) -> int:
+        """The q^n coefficient, for an int n (not a bool) in 0 .. order."""
+        if type(n) is not int:
+            raise TypeError(f"coefficient index must be an int, got {n!r}")
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -169,21 +167,6 @@ class TruncatedSeries:
             return True
         return all(self.coeffs[i] == self.coeffs[d - i] for i in range(d + 1))
 
-    def to_json(self) -> str:
-        return json.dumps({"order": self.order, "coeffs": [str(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries":
-        """Read what to_json writes: an int order and a list of decimal
-        strings or ints; anything else, a float or a bool included, is a
-        ValueError rather than a truncated value."""
-        order, coeffs = _json_fields(json.loads(text), "order", "coeffs")
-        coeffs = [
-            int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
-            for c in _json_list(coeffs, "coeffs")
-        ]
-        return cls(order, coeffs)
-
     def __str__(self) -> str:
         terms = [
             str(c) if n == 0 else f"{c}*q" if n == 1 else f"{c}*q^{n}"
@@ -215,9 +198,6 @@ def _product(a, b) -> tuple[int, ...]:
     return tuple([(packed >> s & field) - half for s in shifts])
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _series_order(order) -> int:
     """A truncation order as an int >= 0; anything else, a bool included,
     is a ValueError."""
@@ -232,22 +212,6 @@ def _exponent(e) -> int:
     if type(e) is not int:
         raise ValueError(f"exponent must be an int, got {e!r}")
     return e
-
-
-def _json_fields(data, *keys) -> list:
-    """The values at keys of a decoded JSON object; a document that is
-    not an object, or that lacks a key, is a ValueError."""
-    if type(data) is not dict or not data.keys() >= set(keys):
-        raise ValueError(f"expected an object with keys {keys}, got {data!r}")
-    return [data[k] for k in keys]
-
-
-def _json_list(value, what: str) -> list:
-    """value when it is a decoded JSON list; anything else is a
-    ValueError."""
-    if type(value) is not list:
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
 
 
 def _int_triple(t) -> tuple[int, int, int]:

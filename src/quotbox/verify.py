@@ -27,19 +27,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 
 from .partitions import (
-    PLANE_PARTITION_GUARD,
-    count_box_partitions,
-    count_partition_pairs,
-    box_partition_polynomial_dp,
-    enumerate_box_monomial_ideals,
+    PLANE_PARTITION_GUARD, _guarded, box_partition_polynomial_dp, count_box_partitions,
+    count_partition_pairs, enumerate_box_monomial_ideals,
 )
 from .quotfixed import COLENGTH_GUARD, quot_series
 from .reflexive import ReflexiveParams, fiber_dim, line_submodule_dim
-from .series import _dominates, _int_triple, _json_fields
+from .series import _dominates, _int_triple
 from .series import box_product, macmahon, quot_closed_form
 
 __all__ = [
@@ -47,6 +45,8 @@ __all__ = [
     "verify_hilb_counts", "verify_product_formula", "verify_rank2_free",
     "verify_stanley",
 ]
+
+WINDOW_GUARD = 1_000_000  # bound on the weights of a presentation check's window
 
 
 @dataclass
@@ -70,16 +70,22 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        """Read what to_json writes: claim a string, params an object,
-        wall_time a finite number >= 0, lhs and rhs lists of ints, status
-        "pass" or "fail", and first_mismatch the first index where they
-        differ (null when they agree, as on every pass); a float or a bool
-        there is a ValueError rather than a truncated value.  A "fail" with
-        equal lists stays legal, since a claim can fail an extra check."""
-        report = cls(*_json_fields(json.loads(text), *(f.name for f in fields(cls))))
+        """Read what to_json writes: claim a string, params an object
+        (whose window, if any, is nonempty), wall_time a finite number >= 0,
+        lhs and rhs lists of ints, status "pass" or "fail", and
+        first_mismatch the first index where they differ (null when they
+        agree, as on every pass); a float or a bool there is a ValueError
+        rather than a truncated value.  A "fail" with equal lists stays
+        legal, since a claim can fail an extra check."""
+        data, names = json.loads(text), [f.name for f in fields(cls)]
+        if type(data) is not dict or not data.keys() >= set(names):
+            raise ValueError(f"expected an object with keys {names}, got {data!r}")
+        report = cls(*map(data.get, names))
         kinds = type(report.claim), type(report.params), type(report.wall_time)
         if kinds not in [(str, dict, int), (str, dict, float)]:
             raise ValueError("claim, params, wall_time must be a str, a dict, a number")
+        if "window" in report.params:
+            _window_box(report.params["window"])
         if not 0 <= report.wall_time < float("inf"):
             raise ValueError(f"wall_time {report.wall_time!r} is not finite and >= 0")
         for key in ("lhs", "rhs"):
@@ -96,13 +102,18 @@ class VerificationReport:
         return report
 
     def summary(self) -> str:
-        """One line; at a mismatch past the end of one side, that side
-        reads -."""
+        """One line: the mismatch is the colength n{i}, or the i-th weight of
+        params' window; past the end of one side, that side reads -."""
         line = f"claim={self.claim} params={self.params} status={self.status.upper()}"
         i = self.first_mismatch
         if i is not None:
             lhs, rhs = (s[i] if i < len(s) else "-" for s in (self.lhs, self.rhs))
-            line += f" first_mismatch=n{i} lhs={lhs} rhs={rhs}"
+            at = f"n{i}"
+            if "window" in self.params:
+                (l1, l2, l3), (_, h2, h3) = _window_box(self.params["window"])
+                n2, n3 = h2 - l2 + 1, h3 - l3 + 1
+                at = l1 + i // (n2 * n3), l2 + i // n3 % n2, l3 + i % n3
+            line += f" first_mismatch={at} lhs={lhs} rhs={rhs}"
         return line + f" wall_time={self.wall_time:.3f}s"
 
 
@@ -189,18 +200,29 @@ def verify_rank2_free(
     return _finish("rank2free", {"order": order}, lhs, rhs, start)
 
 
-def _dims(claim, params, window, lhs, rhs) -> VerificationReport:
-    """Compare lhs(w) with rhs(w) at each weight w of the window, in lex
-    order.  An int m >= 0 means [0, m]^3, a pair (lo, hi) of triples the
-    closed box between them; an empty window is a ValueError, so no check
-    passes vacuously.  The report keeps the window as JSON writes it."""
-    start = time.perf_counter()
+def _window_box(window) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(lo, hi) of a window: an int m means [0, m]^3, a pair (lo, hi) of
+    triples the closed box between them; anything else, or an empty box,
+    is a ValueError."""
     pair = isinstance(window, (tuple, list))
     lo, hi = map(_int_triple, window) if pair else ((0, 0, 0), _int_triple((window,) * 3))
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"empty window from {lo} to {hi}")
+    return lo, hi
+
+
+def _dims(claim, params, window, lhs, rhs) -> VerificationReport:
+    """Compare lhs(w) with rhs(w) at each weight w of the window, in lex
+    order.  An empty window is a ValueError, so no check passes vacuously,
+    and one of more than WINDOW_GUARD weights is GuardExceeded, both before
+    any weight is listed.  The report keeps the window as JSON writes it."""
+    start = time.perf_counter()
+    lo, hi = _window_box(window)
+    count = math.prod(b - a + 1 for a, b in zip(lo, hi))
+    _guarded(count, WINDOW_GUARD, "window of {} weights")
     weights = list(itertools.product(*map(range, lo, (b + 1 for b in hi))))
-    stored = {"v": list(params.triple), "window": [list(lo), list(hi)] if pair else window}
+    stored = {"v": list(params.triple),
+              "window": window if type(window) is int else [list(lo), list(hi)]}
     return _finish(claim, stored, [*map(lhs, weights)], [*map(rhs, weights)], start)
 
 

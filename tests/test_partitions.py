@@ -1,6 +1,5 @@
 import collections
 import itertools
-import json
 import math
 
 import pytest
@@ -68,9 +67,13 @@ def test_height_matrix_validation():
     for bad in [((1.5,),), ((True,),), ((2, 1.0),)]:
         with pytest.raises(ValueError):
             PlanePartition(bad)  # heights are ints, not truncated
-    for boxes in [[(0.5, 0, 0)], [(0, 0, True)], [(0, 0)]]:
+    for boxes in [[(0.5, 0, 0)], [(0, 0, True)], [(0, 0)], [5], [[0, 0, 0.5]]]:
         with pytest.raises(ValueError):
             PlanePartition.from_boxes(boxes)
+    # rows given as lists are kept as tuples: hashable, and equal to the tuple form
+    q = PlanePartition([[2, 1], [1]])
+    assert q.rows == ((2, 1), (1,)) and hash(q) == hash(PlanePartition(((2, 1), (1,))))
+    assert PlanePartition.from_boxes(q.boxes()) == q
 
 
 def test_boxes_round_trip():
@@ -109,23 +112,6 @@ def test_fits_in_box():
     assert not p.fits_in_box((1, 2, 2))
     assert not p.fits_in_box((2, 2, 1))
     assert PlanePartition(()).fits_in_box((1, 1, 1))
-
-
-def test_partition_serialization():
-    p = PlanePartition(((2, 1),))
-    triples = p.to_triples()
-    assert triples == sorted(triples)
-    assert PlanePartition.from_json(p.to_json()) == p
-    assert json.loads(PlanePartition(()).to_json()) == []
-    assert PlanePartition.from_json("[]") == PlanePartition(())
-    # rows given as lists are kept as tuples: hashable, and equal to a round trip
-    q = PlanePartition([[2, 1], [1]])
-    assert q.rows == ((2, 1), (1,)) and hash(q) == hash(PlanePartition(((2, 1), (1,))))
-    assert PlanePartition.from_json(q.to_json()) == q
-    # only a list of box triples is a partition document
-    for bad in ("5", "{}", '{"rows": []}', "[[1, 2]]", "[5]", "[[0, 0, 0.5]]"):
-        with pytest.raises(ValueError):
-            PlanePartition.from_json(bad)
 
 
 def test_count_box_small():
@@ -279,6 +265,10 @@ def test_monomial_ideal_validation():
         MonomialIdeal(((True, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
         MonomialIdeal(((1, 0, 0), (0, 1, 0), (0, 0, 1))).contains((0.9, 0, 0))
+    # a generator that is not a triple, a box that is not a box triple
+    for gens, box in [((5,), None), (((0, 0),), None), ((), 5), ((), (2, 2))]:
+        with pytest.raises(ValueError):
+            MonomialIdeal(gens, box)
     # generators get sorted to a canonical order
     ideal = MonomialIdeal(((0, 1, 0), (1, 0, 0)))
     assert ideal.generators == ((0, 1, 0), (1, 0, 0))
@@ -339,22 +329,6 @@ def test_generators_are_minimal():
             pred = tuple(x - (i == d) for i, x in enumerate(g))
             if min(pred) >= 0:
                 assert pred in lam
-
-
-def test_ideal_serialization():
-    ideal = MonomialIdeal(((1, 1, 0),), box=(2, 2, 2))
-    again = MonomialIdeal.from_json(ideal.to_json())
-    assert again == ideal
-    bare = MonomialIdeal(((0, 0, 0),))
-    assert MonomialIdeal.from_json(bare.to_json()) == bare
-    # malformed documents are a ValueError, whatever is wrong with them
-    for bad in (
-        "[1]", "{}", "5", '{"generators": 5}', '{"generators": [5]}',
-        '{"generators": [[0, 0]]}', '{"generators": [], "box": null}',
-        '{"generators": [], "box": 5}', '{"generators": [], "box": [2, 2]}',
-    ):
-        with pytest.raises(ValueError):
-            MonomialIdeal.from_json(bad)
 
 
 def test_enumerate_box_ideals(monkeypatch):

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import json
 import types
 
 import pytest
@@ -12,7 +11,7 @@ from quotbox.partitions import GuardExceeded
 from quotbox.quotfixed import (
     ConstraintSystem,
     Coprofile,
-    FixedLocusSummary,
+    StratumRecord,
     _layer_transfer,
     enumerate_coprofiles,
     fixed_locus_summary,
@@ -66,7 +65,6 @@ def test_coprofile_validation():
     with pytest.raises(ValueError):
         Coprofile((((0, True, 1), 1),))
     p = Coprofile((((0, 1, 1), 1), ((1, 1, 1), 2)))
-    assert Coprofile.from_jsonable(p.to_jsonable()) == p
     assert Coprofile((([0, 1, 1], 1),)).entries == (((0, 1, 1), 1),)
     assert p.n == 3
     assert p.support == ((0, 1, 1), (1, 1, 1))
@@ -543,78 +541,18 @@ def test_packing_window_is_tight():
                 assert chain in strata, (v, n, k)
 
 
-def test_summary_structure_and_json():
+def test_summary_structure():
     summary = fixed_locus_summary((1, 1, 1), 1)
     assert summary.v == (1, 1, 1)
     assert summary.n == 1
-    assert summary.total == sum(r.euler for r in summary.strata)
-
-    data = json.loads(summary.to_json())
-    assert set(data) == {"v", "n", "strata", "total"}
-    assert data["v"] == [1, 1, 1] and data["n"] == 1 and data["total"] == 3
-    assert all(set(s) == {"coprofile", "euler"} for s in data["strata"])
-    again = FixedLocusSummary.from_json(summary.to_json())
-    assert again.to_json() == summary.to_json()
-    assert again.strata[0].coprofile == summary.strata[0].coprofile
-    assert again.v == (1, 1, 1) and again.n == 1 and again.total == 3
-    # only what to_json writes: floats, bools and strings are not kept
-    for key, bad in [
-        ("v", [1.5, True, "x"]),
-        ("v", [1, 1]),
-        ("n", 2.5),
-        ("n", True),
-        ("total", "9"),
-        ("total", 3.0),
-        ("strata", [{"coprofile": [], "euler": 1.7}]),
-        ("strata", [{"coprofile": []}]),
-        ("strata", [[[], 1]]),
-        ("strata", "[]"),
-        # a coprofile that is not a list of [weight, drop] pairs
-        ("strata", [{"coprofile": [[1, 2]], "euler": 3}]),
-        ("strata", [{"coprofile": 5, "euler": 3}]),
-        ("strata", [{"coprofile": [5], "euler": 3}]),
-        # derived fields: the total is the euler sum, every stratum has colength n
-        ("total", 4),
-        ("strata", [{"coprofile": [[[0, 1, 1], 2]], "euler": 3}]),
-        # v is a box triple, and every drop fits the fiber of v at its weight
-        ("v", [0, 0, 0]),
-        ("v", [1, -1, 1]),
-        ("strata", [{"coprofile": [[[0, 0, 0], 1]], "euler": 3}]),
-    ]:
-        with pytest.raises(ValueError):
-            FixedLocusSummary.from_json(json.dumps(dict(data, **{key: bad})))
-    # strata the walk never lists, each with a consistent total: repeated,
-    # out of lex order, a support weight with no predecessor in the support
-    # (the corner v at v = (1, 1, 1)), an euler neither 0 nor a power of 2
-    corner, first = [{"coprofile": [[[1, 1, 1], 1]], "euler": 1}], data["strata"][0]
-    for strata, reason in [
-        (data["strata"][:1] * 2, "lex order"),
-        (data["strata"][::-1], "lex order"),
-        (corner, "no predecessor"),
-        ([dict(first, euler=3)], "power of 2"),
-        ([dict(first, euler=-2)], "power of 2"),
-    ]:
-        total = sum(s["euler"] for s in strata)
-        with pytest.raises(ValueError, match=reason):
-            FixedLocusSummary.from_json(json.dumps(dict(data, strata=strata, total=total)))
-    unchecked = (
-        '{"v": [1.5, true, "x"], "n": 2.5,'
-        ' "strata": [{"coprofile": [], "euler": 1.7}], "total": "9"}'
-    )
-    missing = json.dumps({k: data[k] for k in ("v", "n", "strata")})
-    for bad in (unchecked, "[1]", "{}", missing):
-        with pytest.raises(ValueError):
-            FixedLocusSummary.from_json(bad)
-    # a drop of 3 where the fiber of v is 2-dimensional
-    too_deep = [{"coprofile": [[[1, 1, 1], 3]], "euler": 1}]
-    with pytest.raises(ValueError):
-        FixedLocusSummary.from_json(json.dumps(dict(data, n=3, strata=too_deep, total=1)))
+    assert summary.total == sum(r.euler for r in summary.strata) == 3
+    assert all(type(r) is StratumRecord and r.coprofile.n == 1 for r in summary.strata)
 
 
 def test_determinism():
     a = fixed_locus_summary((2, 1, 1), 2)
     b = fixed_locus_summary((2, 1, 1), 2)
-    assert a.to_json() == b.to_json()
+    assert a == b
     assert [r.coprofile.entries for r in a.strata] == sorted(
         r.coprofile.entries for r in a.strata
     )

@@ -15,6 +15,7 @@ from quotbox.reflexive import (
     mult_matrix,
     sing_ideal,
 )
+from quotbox.partitions import GuardExceeded
 from quotbox.quotfixed import _window, quot_series
 from quotbox.verify import (
     VerificationReport,
@@ -317,6 +318,20 @@ def test_window_pair_form():
         assert dims(report, (-1, -1, -1), (3, 3, 3))[(-1, 2, 2)] == (0, 0)
 
 
+def test_window_guard(monkeypatch):
+    # the weight count is checked before any weight is listed
+    for check in (check_cosection_quotient, check_resolution_dims):
+        with pytest.raises(GuardExceeded, match=r"window of 1030301 weights, guard is 1000000"):
+            check((1, 1, 1), 100)
+        with pytest.raises(GuardExceeded, match="1030301"):
+            check((1, 1, 1), ((0, 0, 0), (100, 100, 100)))
+    # a window of exactly the bound runs, a larger one does not
+    monkeypatch.setattr(verify, "WINDOW_GUARD", 27)
+    assert check_cosection_quotient((1, 1, 1), 2).ok
+    with pytest.raises(GuardExceeded):
+        check_cosection_quotient((1, 1, 1), ((0, 0, 0), (2, 2, 3)))
+
+
 def test_report_json_and_mismatch(monkeypatch):
     report = check_cosection_quotient((1, 1, 1), 1)
     data = json.loads(report.to_json())
@@ -334,6 +349,11 @@ def test_report_json_and_mismatch(monkeypatch):
             report = check((2, 1, 1), win)
             assert report.ok
             assert VerificationReport.from_json(report.to_json()) == report
+    # a stored window is one the checks accept, so summary() can decode it
+    for bad in ("2", True, -1, [[0, 0, 0]], [[1, 1, 1], [0, 0, 0]], [[0, 0], [1, 1]]):
+        params = {"v": [1, 1, 1], "window": bad}
+        with pytest.raises(ValueError):
+            VerificationReport.from_json(json.dumps(dict(data, params=params)))
 
     # fiber_dim off by one at one weight: each check fails there, at the
     # weight's index in the window's lex order
@@ -341,8 +361,11 @@ def test_report_json_and_mismatch(monkeypatch):
     true_dim = verify.fiber_dim
     monkeypatch.setattr(verify, "fiber_dim", lambda v, w: true_dim(v, w) + (w == bad))
     index = list(window(2)).index(bad)
+    offset = ((1, 1, 0), (2, 3, 1))  # bad is at index 2 of this box's lex order
     for check in (check_cosection_quotient, check_resolution_dims):
-        for win in (2, ((0, 0, 0), (2, 2, 2))):
+        for win, at in ((2, index), (((0, 0, 0), (2, 2, 2)), index), (offset, 2)):
             report = check((1, 1, 1), win)
-            assert report.status == "fail" and report.first_mismatch == index, check.__name__
+            assert report.status == "fail" and report.first_mismatch == at, check.__name__
             assert VerificationReport.from_json(report.to_json()) == report
+            # the summary names the weight, not a colength n{index}
+            assert " first_mismatch=(1, 2, 0) " in report.summary(), report.summary()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -391,3 +392,15 @@ def test_readme_commands_exit_zero(tmp_path, capsys):
         assert cli_main(argv) == 0, argv
     capsys.readouterr()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_readme_report_example_reads_back():
+    # the README's one JSON example is the report the claim writes, but
+    # for its wall time, so the documented format cannot drift
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1
+    example = VerificationReport.from_json(blocks[0].split("```", 1)[0])
+    fresh = verify_product_formula((1, 1, 1), 3)
+    assert example.lhs == fresh.lhs
+    assert dataclasses.replace(fresh, wall_time=example.wall_time) == example
