@@ -19,14 +19,14 @@ print("\nEach fiber is a subspace of C^2: all of it on the cone above v,")
 print("one of three fixed lines where w >= 0 lies below v in one")
 print("coordinate only, and 0 elsewhere:")
 for w in [(0, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1), (2, 1, 1), (3, 2, 2)]:
-    fd = fiber(v, w)
-    print(f"  w={w}: dim {fd.dim}  basis {fd.basis}")
+    basis = fiber(v, w)
+    print(f"  w={w}: dim {len(basis)}  basis {basis}")
 
 print("\nMultiplication matrices are the inclusions of one fiber in the")
 print("next, in the fibers' bases; entries stay in 0, 1:")
 for (w, k) in [((2, 1, 0), 3), ((0, 1, 1), 1), ((2, 1, 1), 1)]:
-    mm = mult_matrix(v, w, k)
-    print(f"  x_{k}: {w} -> {mm.target}: {mm.matrix}")
+    target = tuple(wi + (i == k) for i, wi in enumerate(w, 1))
+    print(f"  x_{k}: {w} -> {target}: {mult_matrix(v, w, k)}")
 
 print("\nThe singular locus is cut out by pure powers; its colength is")
 print("the box volume:")

@@ -44,12 +44,12 @@ torus-equivariant isomorphism R0(v) = R0(sigma v)).
 ``fixed_locus_summary`` lists its nodes depth-first on the caller's v, so
 its total against ``quot_fixed_euler`` checks transfer and orientation.
 
-The tests' reference shares no code with the walk, only the closed forms
-of ``ReflexiveParams``: ``enumerate_coprofiles`` lists every coprofile
-of one colength, the set closure of the reachability rule, and
+The tests' reference shares no code with the walk and reads R0 only
+through ``fiber``: ``enumerate_coprofiles`` lists every coprofile of one
+colength, the set closure of the reachability rule, and
 ``profile_constraint_system`` builds each one's system by its own
-containment rule, on predecessors read from ``dim_at`` and
-``image_line``; the tests' field oracle recounts it over prime fields.
+containment rule, on predecessors and forced lines read from ``fiber``;
+the tests' field oracle recounts it over prime fields.
 Everything is exact integer arithmetic, and enumeration and walk depth
 are guarded at colength ``COLENGTH_GUARD``.
 """
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from .partitions import _guarded
 # bound here for perfbench/spans.TARGETS, which tests/test_bench_bindings.py checks
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix  # noqa: F401
-from .reflexive import _cone_mask
+from .reflexive import _cone_mask, fiber
 from .series import TruncatedSeries, _int_triple
 
 # the reference layer (enumerate_coprofiles, ConstraintSystem,
@@ -192,14 +192,14 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     """Build the constraint system of one coprofile.
 
     For every support weight w and direction k the multiplication map from
-    w - e_k must carry F_{w-e_k} into F_w, with dimensions read from the
-    closed form ``ReflexiveParams.dim_at``.  Every multiplication map has
-    rank equal to its source dimension, so only dimensions decide: a zero
-    or fully removed source sets no condition; when F_w is a line, a full
-    1-dimensional source forces it to ``image_line(k)`` (a second,
-    different forced line makes the stratum infeasible, the first stays in
-    fixed_lines) and a line source is linked to it; any other source
-    leaves too little room in F_w.
+    w - e_k must carry F_{w-e_k} into F_w, with dimensions read from
+    ``fiber_dim``.  Every multiplication map is an inclusion, of rank its
+    source dimension, so only dimensions decide: a zero or fully removed
+    source sets no condition; when F_w is a line, a full 1-dimensional
+    source forces it to the source's own line, its basis in ``fiber`` (a
+    second, different forced line makes the stratum infeasible, the first
+    stays in fixed_lines) and a line source is linked to it; any other
+    source leaves too little room in F_w.
     """
     params = ReflexiveParams.of(v)
     drops = profile.as_dict()
@@ -209,20 +209,20 @@ def profile_constraint_system(v, profile: Coprofile) -> ConstraintSystem:
     infeasible = False
 
     for w, c in profile.entries:
-        d = params.dim_at(*w)
+        d = fiber_dim(params, w)
         if c > d:
             raise ValueError(f"drop {c} exceeds fiber dimension {d} at {w}")
         line = d - c == 1  # F_w is a line: d = 2, c = 1
         if line:
             variables.append(w)
-        for k, e in enumerate(_E, 1):
+        for e in _E:
             ws = tuple(map(int.__sub__, w, e))
-            ds = params.dim_at(*ws)
+            ds = fiber_dim(params, ws)
             cs = drops.get(ws, 0)
             if ds == cs:
                 continue
             if line and ds == 1:
-                image = params.image_line(k)
+                (image,) = fiber(params, ws)
                 if fixed.setdefault(w, image) != image:
                     infeasible = True  # a second, different forced line
             elif line and cs == 1:

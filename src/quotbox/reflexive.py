@@ -19,7 +19,10 @@ multiplication by x_k is the inclusion F_w <= F_{w + e_k}.  In the basis
     F_w = 0                     otherwise.
 
 So fiber dimensions are 0, 1 or 2, and every multiplication matrix has
-entries in {0, 1}.
+entries in {0, 1}.  The rule is written once, as the table
+``ReflexiveParams._fibers`` of four cones and their fibers, and
+``fiber``, ``fiber_dim``, ``mult_matrix``, ``fiber_masks``,
+``generator_weights`` and ``line_submodule_dim`` all read it.
 
 The checks of R0's presentation against these fibers live in ``verify``.
 """
@@ -27,16 +30,15 @@ The checks of R0's presentation against these fibers live in ``verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .partitions import MonomialIdeal
 from .series import _box_triple, _dominates, _int_triple
 
-__all__ = [
-    "FiberDescription", "MultMap", "ReflexiveParams", "fiber", "fiber_dim",
-    "mult_matrix", "sing_ideal",
-]
+__all__ = ["ReflexiveParams", "fiber", "fiber_dim", "mult_matrix", "sing_ideal"]
 
 Weight = tuple[int, int, int]
+Basis = tuple[tuple[int, int], ...]
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # F_w where w >= 0 lies below v in coordinate k only, for k = 1, 2, 3
@@ -73,19 +75,25 @@ class ReflexiveParams:
     def box_volume(self) -> int:
         return self.v1 * self.v2 * self.v3
 
-    def generator_weights(self) -> tuple[Weight, Weight, Weight]:
+    @cached_property
+    def _fibers(self) -> tuple[tuple[Weight, Basis], ...]:
+        """R0's fibers as (corner, basis) pieces: F_w is spanned by the
+        basis of the first piece whose corner w dominates, and is 0 past
+        them all.  All of C^2 on the cone w >= v, then for k = 3, 2, 1 the
+        line _LINES[k-1] on the cone w >= g_(4-k), whose weights off the
+        cone w >= v are those below v in coordinate k only."""
+        v1, v2, v3 = self
         return (
-            (self.v1, self.v2, 0),
-            (self.v1, 0, self.v3),
-            (0, self.v2, self.v3),
+            ((v1, v2, v3), ((1, 0), (0, 1))),
+            ((v1, v2, 0), (_LINES[2],)),
+            ((v1, 0, v3), (_LINES[1],)),
+            ((0, v2, v3), (_LINES[0],)),
         )
 
-    def dim_at(self, w1: int, w2: int, w3: int) -> int:
-        """Fiber dimension at w, unchecked: 0 off the orthant; on it, w >= g_i
-        when w passes v in the two coordinates where g_i is nonzero, so
-        passing v in 0 .. 3 coordinates gives dimension max(passes - 1, 0)."""
-        passes = (w1 >= self.v1) + (w2 >= self.v2) + (w3 >= self.v3)
-        return (0, 0, 1, 2)[passes] if min(w1, w2, w3) >= 0 else 0
+    def generator_weights(self) -> tuple[Weight, Weight, Weight]:
+        """g1, g2, g3: the corners of the line pieces, where a fiber is not
+        spanned by its predecessors' images."""
+        return tuple(corner for corner, _ in self._fibers[1:])
 
     @staticmethod
     def image_line(k: int) -> tuple[int, int]:
@@ -97,10 +105,10 @@ class ReflexiveParams:
     def fiber_masks(self, window: Weight) -> tuple[int, int]:
         """Bitmasks D1, D2 of the weights in the window [0, n1) x [0, n2) x
         [0, n3) whose fiber has dimension 1 and 2 (see ``_cone_mask``): D2
-        is the cone w >= v, D1 the union of the cones w >= g_i minus D2."""
-        d2 = _cone_mask(self.triple, window)
-        c1, c2, c3 = (_cone_mask(g, window) for g in self.generator_weights())
-        return (c1 | c2 | c3) & ~d2, d2
+        is the cone of the plane piece, D1 the union of the line pieces'
+        cones minus D2."""
+        d2, *lines = (_cone_mask(corner, window) for corner, _ in self._fibers)
+        return (lines[0] | lines[1] | lines[2]) & ~d2, d2
 
 
 def _direction(k) -> int:
@@ -122,89 +130,49 @@ def _cone_mask(lo: Weight, window: Weight) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class FiberDescription:
-    """Fiber F_w of R0 at one weight: basis vectors of a subspace of C^2."""
-
-    weight: Weight
-    dim: int
-    basis: tuple[tuple[int, int], ...]
-
-
-def fiber(v, w) -> FiberDescription:
-    """Describe the fiber of R0 at weight w (see the module docstring)."""
-    params = ReflexiveParams.of(v)
+def fiber(v, w) -> Basis:
+    """Basis of the fiber F_w of R0, a subspace of C^2: two vectors, one,
+    or none (see the module docstring)."""
     w = _int_triple(w)
-    below = [k for k in range(3) if w[k] < params.triple[k]]
-    if not below:
-        basis = ((1, 0), (0, 1))
-    elif len(below) == 1 and min(w) >= 0:
-        basis = (_LINES[below[0]],)
-    else:
-        basis = ()
-    return FiberDescription(w, len(basis), basis)
+    for corner, basis in ReflexiveParams.of(v)._fibers:
+        if _dominates(w, corner):
+            return basis
+    return ()
 
 
 def fiber_dim(v, w) -> int:
     """Dimension of the fiber at w."""
-    return fiber(v, w).dim
+    return len(fiber(v, w))
 
 
-@dataclass(frozen=True)
-class MultMap:
-    """Matrix of multiplication by x_k from weight w to w + e_k.
-
-    Rows are indexed by the target fiber basis, columns by the source
-    fiber basis.
-    """
-
-    source: Weight
-    direction: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    @property
-    def target(self) -> Weight:
-        e = _E[self.direction - 1]
-        return tuple(self.source[i] + e[i] for i in range(3))
-
-    @property
-    def source_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.matrix)
-
-
-def mult_matrix(v, w, k: int) -> MultMap:
-    """Multiplication by x_k on fibers: the inclusion F_w <= F_{w + e_k}
-    in the fibers' bases.  Into C^2 a column is the source vector itself;
-    into a line it is (1,), since a nonzero source is that same line."""
+def mult_matrix(v, w, k: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication by x_k from weight w to w + e_k: the inclusion
+    F_w <= F_{w + e_k} in the fibers' bases, rows indexed by the target
+    basis and columns by the source basis.  Into C^2 a column is the
+    source vector itself; into a line it is (1,), since a nonzero source
+    is that same line."""
     e = _E[_direction(k) - 1]
     params = ReflexiveParams.of(v)
     w = _int_triple(w)
-    src = fiber(params, w)
-    tgt = fiber(params, tuple(w[i] + e[i] for i in range(3)))
-    cols = src.basis if tgt.dim == 2 else ((1,),) * src.dim
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(tgt.dim))
-    return MultMap(w, k, matrix)
+    source = fiber(params, w)
+    target = fiber(params, tuple(map(int.__add__, w, e)))
+    cols = source if len(target) == 2 else ((1,),) * len(source)
+    return tuple(tuple(col[r] for col in cols) for r in range(len(target)))
 
 
 def sing_ideal(v) -> MonomialIdeal:
     """Monomial ideal cutting out the singular locus: pure powers
     (x1^v1, x2^v2, x3^v3)."""
-    params = ReflexiveParams.of(v)
-    return MonomialIdeal(
-        ((params.v1, 0, 0), (0, params.v2, 0), (0, 0, params.v3))
-    )
+    v1, v2, v3 = ReflexiveParams.of(v)
+    return MonomialIdeal(((v1, 0, 0), (0, v2, 0), (0, 0, v3)))
 
 
 def line_submodule_dim(params: ReflexiveParams, w: Weight) -> int:
     """Graded dimension of the line submodule: one line of C^2 on the
-    cone w >= v, 0 elsewhere.
+    cone of the plane piece, w >= v, and 0 elsewhere.
 
     Every line of C^2 gives a submodule, since the cone is upward closed
     and F_w = C^2 on it; graded dimensions do not depend on the choice,
     so the class of e1 + e2, the line (1, 1), is fixed here.
     """
-    return 1 if _dominates(w, params.triple) else 0
+    return 1 if _dominates(w, params._fibers[0][0]) else 0

@@ -3,8 +3,8 @@
 ``perfbench/spans.py`` replaces each ``(namespace, attribute)`` of its
 ``TARGETS`` during a traced run and reports a missing one as absent.
 This test reads that table without importing ``perfbench`` as a package,
-so a rename under ``src`` that would leave a traced name absent fails
-here at once.
+so a rename under ``src`` that would leave a traced name absent, or a
+re-import that would leave it stale, fails here at once.
 """
 
 import importlib
@@ -22,11 +22,19 @@ def load_spans():
 
 
 def test_traced_names_resolve():
+    # a name bound outside its home module, the module its span is named
+    # for, must be that module's own object: a stale re-import, say of
+    # fiber_dim into quotbox.quotfixed, would leave the traced run wrapping
+    # a name the code no longer calls
     targets = load_spans().TARGETS
     assert targets
-    missing = [
-        (namespace, attr)
-        for namespace, attr, _ in targets
-        if not callable(getattr(importlib.import_module(namespace), attr, None))
-    ]
+    missing, stale = [], []
+    for namespace, attr, span in targets:
+        bound = getattr(importlib.import_module(namespace), attr, None)
+        home = importlib.import_module("quotbox." + span.split(".")[0])
+        if not callable(bound):
+            missing.append((namespace, attr))
+        elif bound is not getattr(home, attr, None):
+            stale.append((namespace, attr))
     assert not missing, missing
+    assert not stale, stale

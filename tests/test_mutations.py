@@ -221,7 +221,7 @@ REFERENCE_MUTANTS = {
         "infeasible = True  # a second, different forced line", "pass", 2,
     ),
     "a full 1-dimensional source into a line read as no condition": (
-        "image = params.image_line(k)", "continue", 2,
+        "(image,) = fiber(params, ws)", "continue", 2,
     ),
     "a link source dropped": ("links.append((ws, w))", "pass", 5),
 }

@@ -211,6 +211,24 @@ def test_search_visits_exactly_the_consistent_strata():
             assert set(visited[n]) == full
 
 
+def test_reference_reads_its_lines_from_the_fibers(monkeypatch):
+    # the reference takes each forced line from the 1-dimensional
+    # predecessor's basis in fiber, not from image_line, which the walk
+    # reads: x_1 and x_2 carrying their fibers onto one line changes the
+    # walk's total and not the reference's
+    def totals(n):
+        reference = sum(
+            stratum_euler(profile_constraint_system((1, 1, 1), p))
+            for p in enumerate_coprofiles((1, 1, 1), n)
+        )
+        return fixed_locus_summary((1, 1, 1), n).total, reference
+
+    assert totals(2) == (9, 9)
+    lines = {1: (1, 1), 2: (1, 1), 3: (1, 0)}
+    monkeypatch.setattr(ReflexiveParams, "image_line", staticmethod(lines.__getitem__))
+    assert totals(2) == (10, 9)
+
+
 def test_summary_total_matches_pruned_search():
     # the summary lists the walk depth-first on v, quot_fixed_euler sums
     # it as a layer transfer on v sorted descending
@@ -460,15 +478,16 @@ def test_search_and_transfer_leave_no_cycles():
         gc.enable()
 
 
-def _count_mask_reads(monkeypatch):
-    # the walk never asks for one weight's fiber dimension: dim_at is
-    # patched to raise, and each fiber_masks call is recorded by its window
-    def no_dim_at(params, *w):
-        raise AssertionError("the walk read dim_at")
+def no_fiber(v, w):
+    raise AssertionError("the walk read one weight's fiber")
 
+
+def _count_mask_reads(monkeypatch):
+    # the walk never asks for one weight's fiber: fiber is patched to
+    # raise, and each fiber_masks call is recorded by its window
     masks = []
     fiber_masks = ReflexiveParams.fiber_masks
-    monkeypatch.setattr(ReflexiveParams, "dim_at", no_dim_at)
+    monkeypatch.setattr("quotbox.reflexive.fiber", no_fiber)
     monkeypatch.setattr(
         ReflexiveParams, "fiber_masks",
         lambda params, window: masks.append(window) or fiber_masks(params, window),
@@ -506,9 +525,10 @@ def test_each_series_call_builds_its_own_table(monkeypatch):
 
 
 @pytest.mark.parametrize("v, order", [((3, 2, 1), 8), ((2, 2, 2), 7), ((1, 1, 8), 4)])
-def test_walk_reads_only_the_module_protocol(v, order):
+def test_walk_reads_only_the_module_protocol(v, order, monkeypatch):
     # generator_weights, fiber_masks and image_line are all the walk reads
-    # of the module, series and listing alike: no v1, no dim_at
+    # of the module, series and listing alike: no v1, no fiber
+    monkeypatch.setattr("quotbox.reflexive.fiber", no_fiber)
     params = ReflexiveParams(*v)
     stub = types.SimpleNamespace(
         generator_weights=params.generator_weights,
