@@ -24,7 +24,7 @@ from .partitions import (
 from .quotfixed import (
     COLENGTH_GUARD, fixed_locus_summary, quot_fixed_euler, quot_series,
 )
-from .series import box_product, macmahon
+from .series import _int, box_product, macmahon
 from .verify import (
     verify_product_formula,
     verify_rank2_free,
@@ -59,8 +59,7 @@ def _leaf(group, name: str, help: str, handler, *arguments) -> None:
 
 
 def _count_box(args) -> None:
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
+    _int(args.n, "n", 0)
     counts = box_partition_polynomial_dp(args.v).coeffs
     print(counts[args.n] if args.n < len(counts) else 0)
 

@@ -43,10 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .series import (
-    TruncatedSeries, _box_count, _box_triple, _dominates, _int_triple, _series_order,
-    _unpacked,
-)
+from .series import TruncatedSeries, _box_count, _dominates, _int, _triple, _unpacked
 
 __all__ = [
     "GuardExceeded", "MonomialIdeal", "PlanePartition", "box_partition_polynomial_dp",
@@ -66,14 +63,11 @@ class GuardExceeded(RuntimeError):
     """An enumeration was asked to exceed its configured size guard."""
 
 
-def _guarded(n, guard, what: str) -> int:
-    """n, checked against guard before any work: both must be ints >= 0
-    (not bools), else ValueError, and n above guard raises GuardExceeded
-    with the message what.format(n) + ", guard is {guard}"."""
-    n = _series_order(n)
-    if type(guard) is not int or guard < 0:
-        raise ValueError(f"guard must be an int >= 0, got {guard!r}")
-    if n > guard:
+def _guarded(n: int, guard, what: str) -> int:
+    """n, an int the caller has checked, against guard before any work: a
+    guard not an int >= 0 (a bool included) is a ValueError, and n above it
+    raises GuardExceeded, "what.format(n), guard is {guard}"."""
+    if n > _int(guard, "guard", 0):
         raise GuardExceeded(f"{what.format(n)}, guard is {guard}")
     return n
 
@@ -95,8 +89,8 @@ class PlanePartition:
         for row in self.rows:
             if not row:
                 raise ValueError("empty row in height matrix")
-            if any(type(h) is not int or h < 1 for h in row):
-                raise ValueError("heights must be ints >= 1")
+            for h in row:
+                _int(h, "heights", 1)
             if any(row[b] < row[b + 1] for b in range(len(row) - 1)):
                 raise ValueError("row not weakly decreasing")
             if prev is not None:
@@ -118,18 +112,16 @@ class PlanePartition:
         )
 
     def fits_in_box(self, v) -> bool:
-        v1, v2, v3 = _box_triple(v)
+        v1, v2, v3 = _triple(v, "box sides", 1)
         top = self.rows[0] if self.rows else ()  # the longest row, tallest first
         return len(self.rows) <= v1 and len(top) <= v2 and max(top, default=0) <= v3
 
     @classmethod
     def from_boxes(cls, boxes) -> "PlanePartition":
         """Rebuild from a box set; raises if it is not downward closed."""
-        boxes = frozenset(map(_int_triple, boxes))
+        boxes = frozenset(_triple(b, "box coordinates", 0) for b in boxes)
         heights: dict[tuple[int, int], int] = {}
         for (a, b, c) in boxes:
-            if min(a, b, c) < 0:
-                raise ValueError("box coordinates must be >= 0")
             heights[(a, b)] = max(heights.get((a, b), 0), c + 1)
         rows = []
         if heights:
@@ -248,7 +240,7 @@ def enumerate_plane_partitions(
     GuardExceeded unless the guard is raised explicitly.  n and guard
     must be ints >= 0 (not bools), else ValueError.
     """
-    n = _guarded(n, guard, "plane partition enumeration at n = {}")
+    n = _guarded(_int(n, "n", 0), guard, "plane partition enumeration at n = {}")
     found = [
         PlanePartition(rows)
         for rows, total in _stacks((n,) * n, n, n)
@@ -268,7 +260,7 @@ def count_box_partitions(v) -> list[int]:
     box, MacMahon's prod (i+j+k-1)/(i+j+k-2) over its cells (i, j, k);
     above BOX_WALK_GUARD it raises GuardExceeded before any work.
     """
-    v1, v2, v3 = _box_triple(v)
+    v1, v2, v3 = _triple(v, "box sides", 1)
     _guarded(_box_count(v1, v2, v3), BOX_WALK_GUARD, "box walk of {} stacks")
     volume = v1 * v2 * v3
     return _count_stacks((v3,) * v2, volume, v1)
@@ -296,7 +288,7 @@ def box_partition_polynomial_dp(v) -> TruncatedSeries:
     every coefficient, suffix sums included, counts distinct stacks in the
     box, fewer than 2^W, none larger than v1*v2*v3, so no mask is needed.
     """
-    v1, v2, v3 = _box_triple(v)
+    v1, v2, v3 = _triple(v, "box sides", 1)
     _guarded(math.comb(v2 + v3, v2), DP_STATE_GUARD, "DP would need {} states")
     # weakly decreasing tuples, in decreasing lex order
     states = list(itertools.combinations_with_replacement(range(v3, -1, -1), v2))
@@ -341,13 +333,10 @@ class MonomialIdeal:
     box: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        gens = tuple(sorted(map(_int_triple, self.generators)))
+        gens = tuple(sorted(_triple(g, "exponents", 0) for g in self.generators))
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if min(g) < 0:
-                raise ValueError("exponents must be >= 0")
         if self.box is not None:
-            v = _box_triple(self.box)
+            v = _triple(self.box, "box sides", 1)
             object.__setattr__(self, "box", v)
             for g in gens:
                 if any(g[i] >= v[i] for i in range(3)):
@@ -358,7 +347,7 @@ class MonomialIdeal:
 
     def contains(self, m) -> bool:
         """Membership of the monomial with exponent triple m."""
-        m = _int_triple(m)
+        m = _triple(m, "exponents")
         if self.box is not None and any(m[i] >= self.box[i] for i in range(3)):
             return True  # the monomial is zero in the quotient ring
         return any(_dominates(m, g) for g in self.generators)
@@ -398,7 +387,7 @@ def partition_to_monomial_ideal(pp: PlanePartition, box=None) -> MonomialIdeal:
     """
     lam = pp.boxes()
     if box is not None:
-        v = _box_triple(box)
+        v = _triple(box, "box sides", 1)
         if not pp.fits_in_box(v):
             raise ValueError("partition does not fit in the box")
         bounds = v
@@ -434,7 +423,7 @@ def enumerate_box_monomial_ideals(v) -> list[MonomialIdeal]:
     counted by MacMahon's formula; above ANTICHAIN_GUARD it raises
     GuardExceeded before any work.
     """
-    v1, v2, v3 = _box_triple(v)
+    v1, v2, v3 = _triple(v, "box sides", 1)
     cells = sorted(itertools.product(range(v1), range(v2), range(v3)))
     nodes = (len(cells) + 1) * _box_count(v1, v2, v3)
     _guarded(nodes, ANTICHAIN_GUARD, "antichain search of up to {} nodes")
@@ -467,7 +456,7 @@ def count_partition_pairs(order: int, guard: int = PLANE_PARTITION_GUARD) -> lis
     guard must be ints >= 0 (not bools), else ValueError; above guard it
     raises GuardExceeded before any work.
     """
-    order = _guarded(order, guard, "pair counting at order {}")
+    order = _guarded(_int(order, "order", 0), guard, "pair counting at order {}")
     counts = _count_stacks((order,) * order, order, order)
     return [
         sum(counts[k] * counts[n - k] for k in range(n + 1))

@@ -63,7 +63,7 @@ from .partitions import _guarded
 # bound here for perfbench/spans.TARGETS, which tests/test_bench_bindings.py checks
 from .reflexive import _E, ReflexiveParams, Weight, fiber_dim, mult_matrix  # noqa: F401
 from .reflexive import _cone_mask, fiber
-from .series import TruncatedSeries, _int_triple
+from .series import TruncatedSeries, _int, _triple
 
 # the reference layer (enumerate_coprofiles, ConstraintSystem,
 # profile_constraint_system, stratum_euler) is not exported
@@ -85,15 +85,15 @@ class Coprofile:
 
     def __post_init__(self):
         norm, prev = [], (-1,)  # (-1,) sorts below every weight >= 0
-        for w, c in self.entries:
-            w = _int_triple(w)
-            if w[0] < 0 or w[1] < 0 or w[2] < 0:
-                raise ValueError("weights must be >= 0")
+        for entry in self.entries:
+            try:
+                w, c = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"an entry is a (weight, drop) pair, got {entry!r}") from None
+            w = _triple(w, "weights", 0)
             if w <= prev:
                 raise ValueError("entries must be sorted by weight, no repeats")
-            if type(c) is not int or c < 1:
-                raise ValueError("dimension drops must be ints >= 1")
-            norm.append((w, c))
+            norm.append((w, _int(c, "dimension drops", 1)))
             prev = w
         object.__setattr__(self, "entries", tuple(norm))
 
@@ -150,7 +150,7 @@ def enumerate_coprofiles(v, n: int, guard: int = COLENGTH_GUARD) -> list[Coprofi
     generator fibers are, and so is every successor of a nonzero fiber).
     """
     params = ReflexiveParams.of(v)
-    _guarded(n, guard, "stratum search at colength {}")
+    _guarded(_int(n, "n", 0), guard, "stratum search at colength {}")
     gens = set(params.generator_weights())
     level = supports = {frozenset()}
     for _ in range(n):
@@ -463,7 +463,7 @@ def fixed_locus_summary(v, n: int, guard: int = COLENGTH_GUARD) -> FixedLocusSum
     a linked component is forced to two lines.
     """
     params = ReflexiveParams.of(v)
-    _guarded(n, guard, "stratum search at colength {}")
+    _guarded(_int(n, "n", 0), guard, "stratum search at colength {}")
     window = _window(params, n)
     records = []
 
@@ -489,6 +489,6 @@ def quot_series(v, order: int, guard: int = COLENGTH_GUARD) -> TruncatedSeries:
     descending, the orientation of the module docstring.
     """
     params = ReflexiveParams.of(v)
-    _guarded(order, guard, "stratum search at colength {}")
+    _guarded(_int(order, "order", 0), guard, "stratum search at colength {}")
     longest_first = ReflexiveParams(*sorted(params, reverse=True))
     return TruncatedSeries(order, tuple(_layer_transfer(longest_first, order)))

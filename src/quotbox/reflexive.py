@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .partitions import MonomialIdeal
-from .series import _box_triple, _dominates, _int_triple
+from .series import _dominates, _int, _triple
 
 __all__ = ["ReflexiveParams", "fiber", "fiber_dim", "mult_matrix", "sing_ideal"]
 
@@ -54,13 +54,13 @@ class ReflexiveParams:
     v3: int
 
     def __post_init__(self):
-        _box_triple(self)
+        _triple(self, "v", 1)
 
     @classmethod
     def of(cls, v) -> "ReflexiveParams":
         if isinstance(v, cls):
             return v
-        return cls(*_box_triple(v))
+        return cls(*_triple(v, "v", 1))
 
     def __iter__(self):
         yield self.v1
@@ -70,10 +70,6 @@ class ReflexiveParams:
     @property
     def triple(self) -> Weight:
         return (self.v1, self.v2, self.v3)
-
-    @property
-    def box_volume(self) -> int:
-        return self.v1 * self.v2 * self.v3
 
     @cached_property
     def _fibers(self) -> tuple[tuple[Weight, Basis], ...]:
@@ -100,7 +96,7 @@ class ReflexiveParams:
         """The line onto which x_k carries a 1-dimensional fiber stepping
         into the cone w >= v: that fiber lies below v in coordinate k
         only, so it is the line _LINES[k-1] of C^2 itself."""
-        return _LINES[_direction(k) - 1]
+        return _LINES[_int(k, "direction k", 1, 3) - 1]
 
     def fiber_masks(self, window: Weight) -> tuple[int, int]:
         """Bitmasks D1, D2 of the weights in the window [0, n1) x [0, n2) x
@@ -109,13 +105,6 @@ class ReflexiveParams:
         cones minus D2."""
         d2, *lines = (_cone_mask(corner, window) for corner, _ in self._fibers)
         return (lines[0] | lines[1] | lines[2]) & ~d2, d2
-
-
-def _direction(k) -> int:
-    """k, checked to be the direction 1, 2 or 3 (an int, not a bool)."""
-    if type(k) is not int or k not in (1, 2, 3):
-        raise ValueError(f"direction k must be 1, 2 or 3, got {k!r}")
-    return k
 
 
 def _cone_mask(lo: Weight, window: Weight) -> int:
@@ -133,7 +122,7 @@ def _cone_mask(lo: Weight, window: Weight) -> int:
 def fiber(v, w) -> Basis:
     """Basis of the fiber F_w of R0, a subspace of C^2: two vectors, one,
     or none (see the module docstring)."""
-    w = _int_triple(w)
+    w = _triple(w, "weights")
     for corner, basis in ReflexiveParams.of(v)._fibers:
         if _dominates(w, corner):
             return basis
@@ -151,9 +140,9 @@ def mult_matrix(v, w, k: int) -> tuple[tuple[int, ...], ...]:
     basis and columns by the source basis.  Into C^2 a column is the
     source vector itself; into a line it is (1,), since a nonzero source
     is that same line."""
-    e = _E[_direction(k) - 1]
+    e = _E[_int(k, "direction k", 1, 3) - 1]
     params = ReflexiveParams.of(v)
-    w = _int_triple(w)
+    w = _triple(w, "weights")
     source = fiber(params, w)
     target = fiber(params, tuple(map(int.__add__, w, e)))
     cols = source if len(target) == 2 else ((1,),) * len(source)

@@ -23,6 +23,9 @@ exact when each coefficient of the result fits its field.  W comes from a
 bound each docstring proves: n * max|a| * max|b| and a sign bit for a
 product of n terms (``_product``), order + 1 for macmahon, and the box's
 count for box_product.
+
+Every int and triple the package takes from a caller is checked by
+``_int`` or ``_triple`` here, whose ValueError names the input.
 """
 
 from __future__ import annotations
@@ -42,16 +45,16 @@ class TruncatedSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != _series_order(self.order) + 1:
+        if len(self.coeffs) != _int(self.order, "order", 0) + 1:
             raise ValueError("need exactly order+1 coefficients")
-        if not all(type(c) is int for c in self.coeffs):
-            raise ValueError("coefficients must be ints")
+        for c in self.coeffs:
+            _int(c, "coefficients")
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
         """Build from a coefficient list, zero-padded up to order."""
         coeffs = list(coeffs)
-        order = len(coeffs) - 1 if order is None else _series_order(order)
+        order = len(coeffs) - 1 if order is None else _int(order, "order", 0)
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than order allows")
         coeffs += [0] * (order + 1 - len(coeffs))
@@ -68,11 +71,9 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, order: int, exponent: int, coeff: int = 1) -> "TruncatedSeries":
         """c * q^exponent, truncated; exponents beyond the order vanish."""
-        if _exponent(exponent) < 0:
-            raise ValueError("exponent must be >= 0")
-        if type(coeff) is not int:
-            raise ValueError("coefficients must be ints")
-        coeffs = [0] * (_series_order(order) + 1)
+        _int(exponent, "exponent", 0)
+        _int(coeff, "coeff")
+        coeffs = [0] * (_int(order, "order", 0) + 1)
         if exponent <= order:
             coeffs[exponent] = coeff
         return cls(order, tuple(coeffs))
@@ -125,7 +126,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if _exponent(exponent) < 0:
+        if _int(exponent, "exponent") < 0:
             return self.inverse() ** (-exponent)
         result = TruncatedSeries.one(self.order)
         base = self
@@ -198,31 +199,31 @@ def _product(a, b) -> tuple[int, ...]:
     return tuple([(packed >> s & field) - half for s in shifts])
 
 
-def _series_order(order) -> int:
-    """A truncation order as an int >= 0; anything else, a bool included,
-    is a ValueError."""
-    if type(order) is not int or order < 0:
-        raise ValueError(f"order must be an int >= 0, got {order!r}")
-    return order
+def _bounds(low, high) -> str:
+    """The bounds of a check as text: ' >= low', ' <= high', both, or none."""
+    return " and".join(f" {op} {b}" for op, b in ((">=", low), ("<=", high)) if b is not None)
 
 
-def _exponent(e) -> int:
-    """An exponent as an int; anything else, a bool included, is a
-    ValueError."""
-    if type(e) is not int:
-        raise ValueError(f"exponent must be an int, got {e!r}")
-    return e
+def _int(x, what: str, low: int | None = None, high: int | None = None) -> int:
+    """x as an int (type int exactly, so not a bool) within the bounds
+    given; anything else is a ValueError that names the input what."""
+    if type(x) is not int or low is not None and x < low or high is not None and x > high:
+        raise ValueError(f"{what} must be an int{_bounds(low, high)}, got {x!r}")
+    return x
 
 
-def _int_triple(t) -> tuple[int, int, int]:
-    """t as a tuple of three ints (type int exactly, so no bool); anything
-    else is a ValueError."""
+def _triple(t, what: str, low: int | None = None) -> tuple[int, int, int]:
+    """t as a tuple of three ints (type int exactly, so no bool), each
+    >= low if given; anything else is a ValueError that names the input
+    what.  The entries are checked here rather than by _int: Coprofile
+    checks one triple per weight of every stratum it lists."""
     try:
         a, b, c = t
     except (TypeError, ValueError):
-        raise ValueError(f"expected three ints, got {t!r}") from None
-    if type(a) is not int or type(b) is not int or type(c) is not int:
-        raise ValueError(f"expected three ints, got {t!r}")
+        a = b = c = None  # not three items: the check below raises
+    if (type(a) is not int or type(b) is not int or type(c) is not int
+            or low is not None and (a < low or b < low or c < low)):
+        raise ValueError(f"{what} must be three ints{_bounds(low, None)}, got {t!r}")
     return a, b, c
 
 
@@ -244,7 +245,7 @@ def macmahon(order: int) -> TruncatedSeries:
     E = q^2/2 + 2q^3/3 + 5q^4/4.  All these are nonnegative, so M <= exp(E)/(1-2q)
     and M_n <= sum_k [q^k]exp(E) 2^(n-k) <= 2^n exp(E(1/2)) = 2^n e^0.2865 < 2^(n+1).
     """
-    width = _series_order(order) + 1
+    width = _int(order, "order", 0) + 1
     fields = (1 << width * (order + 1)) - 1
     a = 1
     for k in range(1, order + 1):
@@ -255,15 +256,6 @@ def macmahon(order: int) -> TruncatedSeries:
             out += c * term
         a = out & fields
     return _unpacked(a, width, order)
-
-
-def _box_triple(v) -> tuple[int, int, int]:
-    """The triple v as three ints >= 1; anything else, a bool included, is
-    a ValueError."""
-    v = _int_triple(v)
-    if min(v) < 1:
-        raise ValueError(f"box sides must be integers >= 1, got {v!r}")
-    return v
 
 
 def _box_count(v1: int, v2: int, v3: int) -> int:
@@ -291,8 +283,8 @@ def box_product(v, order: int | None = None) -> TruncatedSeries:
     The result is a polynomial of degree v1*v2*v3 (symmetric in v and
     palindromic); order defaults to exactly that degree.
     """
-    v1, v2, v3 = _box_triple(v)
-    order = v1 * v2 * v3 if order is None else _series_order(order)
+    v1, v2, v3 = _triple(v, "box sides", 1)
+    order = v1 * v2 * v3 if order is None else _int(order, "order", 0)
     width = _box_count(v1, v2, v3).bit_length()
     fields = (1 << width * (order + 1)) - 1
     a = 1
@@ -307,7 +299,6 @@ def quot_closed_form(v, order: int) -> TruncatedSeries:
     """Predicted colength generating series for graded quotients of the
     rank-2 module attached to v:  macmahon(order)^2 * box_product(v, order).
     """
-    _box_triple(v)
-    _series_order(order)
+    _triple(v, "v", 1)
     m = macmahon(order)
     return m * m * box_product(v, order)

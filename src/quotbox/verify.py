@@ -37,7 +37,7 @@ from .partitions import (
 )
 from .quotfixed import COLENGTH_GUARD, quot_series
 from .reflexive import ReflexiveParams, fiber_dim, line_submodule_dim
-from .series import _dominates, _int_triple
+from .series import TruncatedSeries, _dominates, _int, _triple
 from .series import box_product, macmahon, quot_closed_form
 
 __all__ = [
@@ -90,11 +90,13 @@ class VerificationReport:
             raise ValueError(f"wall_time {report.wall_time!r} is not finite and >= 0")
         for key in ("lhs", "rhs"):
             values = getattr(report, key)
-            if type(values) is not list or any(type(c) is not int for c in values):
+            if type(values) is not list:
                 raise ValueError(f"{key} must be a list of ints, got {values!r}")
+            for c in values:
+                _int(c, f"{key} entries")
         mism = report.first_mismatch
-        if mism is not None and type(mism) is not int:
-            raise ValueError(f"first_mismatch must be an int or null, got {mism!r}")
+        if mism is not None:
+            _int(mism, "first_mismatch")
         if mism != _first_diff(report.lhs, report.rhs):
             raise ValueError(f"first_mismatch {mism!r} is not where lhs and rhs differ")
         if report.status not in ("pass", "fail") or report.ok and mism is not None:
@@ -161,13 +163,13 @@ def verify_stanley(v) -> VerificationReport:
     enumeration counts when they disagree with the product, and otherwise
     the DP counts, which then equal them.
     """
-    params = ReflexiveParams.of(v)
+    v = _triple(v, "box sides", 1)
     start = time.perf_counter()
-    brute = count_box_partitions(params.triple)
-    dp = list(box_partition_polynomial_dp(params.triple).coeffs)
-    prod = list(box_product(params.triple).coeffs)
+    brute = count_box_partitions(v)
+    dp = list(box_partition_polynomial_dp(v).coeffs)
+    prod = list(box_product(v).coeffs)
     lhs = brute if brute != prod else dp
-    return _finish("stanley", {"v": list(params.triple)}, lhs, prod, start)
+    return _finish("stanley", {"v": list(v)}, lhs, prod, start)
 
 
 def verify_hilb_counts(v) -> VerificationReport:
@@ -176,17 +178,16 @@ def verify_hilb_counts(v) -> VerificationReport:
     Also requires the count vector to have degree exactly v1*v2*v3 and to
     be palindromic; both are properties of the matching, not extra input.
     """
-    params = ReflexiveParams.of(v)
+    v = _triple(v, "box sides", 1)
     start = time.perf_counter()
-    order = params.box_volume
+    order = v[0] * v[1] * v[2]
     by_colength = [0] * (order + 1)
-    for ideal in enumerate_box_monomial_ideals(params.triple):
+    for ideal in enumerate_box_monomial_ideals(v):
         by_colength[ideal.colength()] += 1
-    boxes = count_box_partitions(params.triple)
-    extra_ok = by_colength[order] != 0 and by_colength == by_colength[::-1]
-    return _finish(
-        "hilb", {"v": list(params.triple)}, by_colength, boxes, start, extra_ok
-    )
+    boxes = count_box_partitions(v)
+    counts = TruncatedSeries(order, by_colength)
+    extra_ok = counts.degree() == order and counts.is_palindromic()
+    return _finish("hilb", {"v": list(v)}, by_colength, boxes, start, extra_ok)
 
 
 def verify_rank2_free(
@@ -201,11 +202,14 @@ def verify_rank2_free(
 
 
 def _window_box(window) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(lo, hi) of a window: an int m means [0, m]^3, a pair (lo, hi) of
-    triples the closed box between them; anything else, or an empty box,
-    is a ValueError."""
-    pair = isinstance(window, (tuple, list))
-    lo, hi = map(_int_triple, window) if pair else ((0, 0, 0), _int_triple((window,) * 3))
+    """(lo, hi) of a window: an int m >= 0 means [0, m]^3, a pair (lo, hi)
+    of triples the closed box between them; anything else, or an empty
+    box, is a ValueError."""
+    if not isinstance(window, (tuple, list)):
+        return (0, 0, 0), (_int(window, "window", 0),) * 3
+    if len(window) != 2:
+        raise ValueError(f"a window is an int or two triples, got {window!r}")
+    lo, hi = (_triple(t, "window") for t in window)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"empty window from {lo} to {hi}")
     return lo, hi
@@ -222,7 +226,7 @@ def _dims(claim, params, window, lhs, rhs) -> VerificationReport:
     _guarded(count, WINDOW_GUARD, "window of {} weights")
     weights = list(itertools.product(*map(range, lo, (b + 1 for b in hi))))
     stored = {"v": list(params.triple),
-              "window": window if type(window) is int else [list(lo), list(hi)]}
+              "window": [list(lo), list(hi)] if isinstance(window, (tuple, list)) else window}
     return _finish(claim, stored, [*map(lhs, weights)], [*map(rhs, weights)], start)
 
 

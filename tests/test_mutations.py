@@ -12,7 +12,7 @@ walk to order m can miss a fault in the states that the walk to order
 m + 1 shows at coefficient m.  A few mutants raise at the listed order
 instead, and must still pass at order - 1.  The deep mutants fail only
 past tier-1's orders, so their test runs in the deep tier
-(``pytest -m deep``).  The mutants of the packed kernels of
+(``pytest -m deep``).  The mutants of the packed kernels and validators of
 ``quotbox/series.py`` run the same way, each against the check of
 ``tests/test_series.py`` that rejects it.  The image-line mutant
 patches the module interface, ``ReflexiveParams.image_line``, instead
@@ -39,7 +39,7 @@ import quotbox.series
 import quotbox.verify
 from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
-from test_series import check_box_product, check_macmahon, check_products
+from test_series import check_box_product, check_macmahon, check_products, check_validators
 
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
@@ -230,8 +230,9 @@ REFERENCE_MUTANTS = {
 # label: (snippet of series.py, replacement, the check that rejects it, the
 # error it fails with); each check is the body of a tier-1 test of
 # tests/test_series.py: check_products of test_product_matches_schoolbook,
-# check_box_product of test_box_product_matches_list_passes and
-# check_macmahon of test_macmahon_matches_sigma2_recurrence
+# check_box_product of test_box_product_matches_list_passes,
+# check_macmahon of test_macmahon_matches_sigma2_recurrence and
+# check_validators of a few rows of test_bad_input_error_names_the_input
 SERIES_MUTANTS = {
     # width 0 for the zero series, a negative shift; one * one reads -1
     "no sign bit in the product width": (
@@ -251,12 +252,19 @@ SERIES_MUTANTS = {
     # order - 1 raises at orders 0 and 1 and reads M_n wrong at 2 .. 9,
     # where M_n >= 2^(n-1)
     "macmahon width order": (
-        "width = _series_order(order) + 1", "width = _series_order(order)",
+        'width = _int(order, "order", 0) + 1', 'width = _int(order, "order", 0)',
         check_macmahon, ValueError,
     ),
     "macmahon width order - 1": (
-        "width = _series_order(order) + 1", "width = _series_order(order) - 1",
+        'width = _int(order, "order", 0) + 1', 'width = _int(order, "order", 0) - 1',
         check_macmahon, ValueError,
+    ),
+    "a bool passes as a triple entry": (
+        "type(a) is not int", "not isinstance(a, int)", check_validators, AssertionError,
+    ),
+    "triples unbounded below": (
+        "low is not None and (a < low or b < low or c < low)", "False", check_validators,
+        AssertionError,
     ),
 }
 
@@ -406,7 +414,7 @@ def test_series_check_rejects_mutant(label):
 def test_unmutated_series_passes_the_checks():
     # the harness itself changes nothing: series.py run as a fresh module
     # passes every check
-    width = "width = _series_order(order) + 1"
+    width = 'width = _int(order, "order", 0) + 1'
     with mutant(width, width, SERIES_SOURCE, "quotbox._mutant_series") as module:
-        for check in (check_products, check_box_product, check_macmahon):
+        for check in (check_products, check_box_product, check_macmahon, check_validators):
             check(module)

@@ -102,7 +102,7 @@ def test_from_boxes_rejects_gaps():
     # closure test sees it
     with pytest.raises(ValueError, match="not downward closed"):
         PlanePartition.from_boxes({(0, 0, 1)})
-    with pytest.raises(ValueError, match="coordinates must be >= 0"):
+    with pytest.raises(ValueError, match="box coordinates must be three ints >= 0"):
         PlanePartition.from_boxes({(0, -1, 0)})
 
 

@@ -64,6 +64,10 @@ def test_coprofile_validation():
         Coprofile((((0, 1, 1), True),))
     with pytest.raises(ValueError):
         Coprofile((((0, True, 1), 1),))
+    # an entry is a (weight, drop) pair
+    for bad in [((1, 2, 3),), (((0, 1, 1), 1, 1),), ((0, 1, 1),)]:
+        with pytest.raises(ValueError, match=r"an entry is a \(weight, drop\) pair"):
+            Coprofile(bad)
     p = Coprofile((((0, 1, 1), 1), ((1, 1, 1), 2)))
     assert Coprofile((([0, 1, 1], 1),)).entries == (((0, 1, 1), 1),)
     assert p.n == 3

@@ -77,10 +77,19 @@ def test_params_validation():
             check_cosection_quotient((1, 1, 1), bad_window)
         with pytest.raises(ValueError):
             check_resolution_dims((1, 1, 1), bad_window)
+    # a window of one or three triples says what a window is, read from a
+    # report too
+    report = json.loads(check_cosection_quotient((1, 1, 1), 1).to_json())
+    for bad_window in [((0, 0, 0),), ((0, 0, 0), (1, 1, 1), (2, 2, 2))]:
+        for check in (check_cosection_quotient, check_resolution_dims):
+            with pytest.raises(ValueError, match="a window is an int or two triples"):
+                check((1, 1, 1), bad_window)
+        text = json.dumps(dict(report, params={"v": [1, 1, 1], "window": bad_window}))
+        with pytest.raises(ValueError, match="a window is an int or two triples"):
+            VerificationReport.from_json(text)
     p = ReflexiveParams.of([2, 1, 3])
     assert tuple(p) == (2, 1, 3)
     assert p.triple == (2, 1, 3)
-    assert p.box_volume == 6
     assert ReflexiveParams.of(p) is p
 
 

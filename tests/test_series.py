@@ -1,17 +1,26 @@
+import argparse
 import itertools
 import random
+import re
 
 import pytest
 
 import quotbox.series
 from conftest import load_count_table
+from quotbox.cli import _count_box
+from quotbox.partitions import (
+    MonomialIdeal, PlanePartition, box_partition_polynomial_dp, count_box_partitions,
+    enumerate_box_monomial_ideals, enumerate_plane_partitions,
+)
+from quotbox.quotfixed import Coprofile, quot_series
+from quotbox.reflexive import ReflexiveParams, fiber, mult_matrix
 from quotbox.series import (
     TruncatedSeries,
     box_product,
     macmahon,
     quot_closed_form,
 )
-from quotbox.partitions import enumerate_plane_partitions
+from quotbox.verify import verify_hilb_counts, verify_stanley
 
 
 def rand_series(rng, order=6, span=9):
@@ -367,3 +376,70 @@ def test_str_rendering():
     a = TruncatedSeries.from_coeffs([1, 2, 0, -1])
     assert str(a) == "1 + 2*q + -1*q^3 + O(q^4)"
     assert str(TruncatedSeries.zero(2)) == "0 + O(q^3)"
+
+
+# a bool, a float, a two-item triple and a value below the bound, for
+# triples of ints >= 1, triples of ints >= 0 and ints >= 0 or >= 1
+SIDES = [(True, 1, 1), (1.0, 1, 1), (1, 1), (0, 1, 1)]
+CORNERS = [(0, True, 0), (0, 1.0, 0), (0, 0), (0, -1, 0)]
+NATURALS = [True, 1.0, -1]
+POSITIVES = [True, 1.0, 0]
+
+# entry point: (its call on one bad input x, the bad inputs, the name of
+# the input that its ValueError gives)
+BAD_INPUTS = {
+    "box_product": (box_product, SIDES, "box sides"),
+    "count_box_partitions": (count_box_partitions, SIDES, "box sides"),
+    "box_partition_polynomial_dp": (box_partition_polynomial_dp, SIDES, "box sides"),
+    "enumerate_box_monomial_ideals": (enumerate_box_monomial_ideals, SIDES, "box sides"),
+    "verify_stanley": (verify_stanley, SIDES, "box sides"),
+    "verify_hilb_counts": (verify_hilb_counts, SIDES, "box sides"),
+    "ReflexiveParams.of": (ReflexiveParams.of, SIDES, "v"),
+    "quot_series v": (lambda x: quot_series(x, 2), SIDES, "v"),
+    "quot_series order": (lambda x: quot_series((1, 1, 1), x), NATURALS, "order"),
+    "fiber v": (lambda x: fiber(x, (0, 0, 0)), SIDES, "v"),
+    "mult_matrix k": (lambda x: mult_matrix((1, 1, 1), (0, 0, 0), x), [True, 1.0, 0, 4],
+                      "direction k"),
+    "Coprofile weight": (lambda x: Coprofile(((x, 1),)), CORNERS, "weights"),
+    "Coprofile drop": (lambda x: Coprofile((((0, 1, 1), x),)), POSITIVES, "dimension drops"),
+    "MonomialIdeal generator": (lambda x: MonomialIdeal((x,)), CORNERS, "exponents"),
+    "MonomialIdeal box": (lambda x: MonomialIdeal((), box=x), SIDES, "box sides"),
+    "PlanePartition": (lambda x: PlanePartition(((x,),)), POSITIVES, "heights"),
+    "PlanePartition.from_boxes": (lambda x: PlanePartition.from_boxes({x}), CORNERS,
+                                  "box coordinates"),
+    "TruncatedSeries.monomial": (lambda x: TruncatedSeries.monomial(3, x), NATURALS,
+                                 "exponent"),
+    "macmahon": (macmahon, NATURALS, "order"),
+    "guard": (lambda x: enumerate_plane_partitions(1, guard=x), NATURALS, "guard"),
+    # the handler of quotbox count box, whose ValueError is its exit 2
+    # (test_cli_bad_values_are_usage_errors); argparse makes --n an int
+    "count box --n": (lambda x: _count_box(argparse.Namespace(v=[1, 1, 1], n=x)), [-1], "n"),
+}
+
+
+def check_validators(series):
+    """series' box_product, macmahon and TruncatedSeries.monomial each
+    reject the bad inputs of the table above with a ValueError that names
+    the input."""
+    for call, bad, what in [
+        (series.box_product, SIDES, "box sides"),
+        (series.macmahon, NATURALS, "order"),
+        (lambda x: series.TruncatedSeries.monomial(3, x), NATURALS, "exponent"),
+    ]:
+        for x in bad:
+            try:
+                call(x)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{what} must be "), exc
+            else:
+                raise AssertionError(f"{what} {x!r} accepted")
+
+
+@pytest.mark.parametrize(
+    "label, x", [(label, x) for label, (_, bad, _) in BAD_INPUTS.items() for x in bad],
+    ids=str,
+)
+def test_bad_input_error_names_the_input(label, x):
+    call, _, what = BAD_INPUTS[label]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be "):
+        call(x)
