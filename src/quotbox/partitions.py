@@ -327,6 +327,13 @@ class MonomialIdeal:
     variables; box=(v1,v2,v3) means an ideal of the quotient by the pure
     powers x1^v1, x2^v2, x3^v3, in which case generators live strictly
     inside the box.
+
+    Membership has one rule, ``_contains``, in plain comparisons: a
+    monomial is in the ideal when it lies outside the box or above a
+    generator.  ``contains`` checks a caller's triple, ints >= 0 as the
+    generators are, before it applies the rule; ``staircase`` and
+    ``colength`` apply it to the box monomials they generate themselves,
+    which need no check.
     """
 
     generators: tuple[tuple[int, int, int], ...]
@@ -346,11 +353,19 @@ class MonomialIdeal:
                 raise ValueError("generators must form an antichain")
 
     def contains(self, m) -> bool:
-        """Membership of the monomial with exponent triple m."""
-        m = _triple(m, "exponents")
-        if self.box is not None and any(m[i] >= self.box[i] for i in range(3)):
+        """Membership of the monomial with exponent triple m, ints >= 0."""
+        return self._contains(*_triple(m, "exponents", 0))
+
+    def _contains(self, a, b, c) -> bool:
+        """Membership of x1^a x2^b x3^c, for ints a, b, c >= 0 that the
+        caller has checked."""
+        box = self.box
+        if box is not None and (a >= box[0] or b >= box[1] or c >= box[2]):
             return True  # the monomial is zero in the quotient ring
-        return any(_dominates(m, g) for g in self.generators)
+        for g1, g2, g3 in self.generators:
+            if a >= g1 and b >= g2 and c >= g3:
+                return True
+        return False
 
     def _axis_bounds(self) -> tuple[int, int, int]:
         if self.box is not None:
@@ -366,11 +381,10 @@ class MonomialIdeal:
 
     def staircase(self) -> frozenset[tuple[int, int, int]]:
         """Monomials outside the ideal; finite iff the colength is."""
-        b = self._axis_bounds()
+        b, inside = self._axis_bounds(), self._contains
         return frozenset(
-            m
-            for m in itertools.product(range(b[0]), range(b[1]), range(b[2]))
-            if not self.contains(m)
+            m for m in itertools.product(range(b[0]), range(b[1]), range(b[2]))
+            if not inside(*m)
         )
 
     def colength(self) -> int:

@@ -22,7 +22,11 @@ Z[q]/(q^N) to Z/2^(N*W): one int per series, coefficient n in bit field n,
 exact when each coefficient of the result fits its field.  W comes from a
 bound each docstring proves: n * max|a| * max|b| and a sign bit for a
 product of n terms (``_product``), order + 1 for macmahon, and the box's
-count for box_product.
+count for box_product.  A square such as M(q)^2 packs its series once and
+squares the int.  A factor 1/(1 - q^e) is the doubling product
+(1 + q^e)(1 + q^2e)(1 + q^4e)..., one shift-add per step: box_product
+takes it for every denominator factor, and macmahon for (1 - q^k)^(-k),
+as k such passes, wherever they take fewer steps than its binomial sum.
 
 Every int and triple the package takes from a caller is checked by
 ``_int`` or ``_triple`` here, whose ValueError names the input.
@@ -62,11 +66,11 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (0,) * (order + 1))
+        return cls(order, (0,) * (_int(order, "order", 0) + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (1,) + (0,) * order)
+        return cls(order, (1,) + (0,) * _int(order, "order", 0))
 
     @classmethod
     def monomial(cls, order: int, exponent: int, coeff: int = 1) -> "TruncatedSeries":
@@ -97,7 +101,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above a smaller order."""
-        if order > self.order:
+        if _int(order, "order", 0) > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(order, self.coeffs[: order + 1])
 
@@ -188,13 +192,16 @@ def _product(a, b) -> tuple[int, ...]:
     """The first n coefficients of a * b, for coefficient tuples of one
     length n, by one int multiply.  Each is a sum of at most n terms, so
     |c| < 2^(w-1), and with 2^(w-1) added to each kept field it holds
-    c + 2^(w-1) in [0, 2^w); the terms past q^(n-1) add multiples of 2^(n*w)."""
+    c + 2^(w-1) in [0, 2^w); the terms past q^(n-1) add multiples of 2^(n*w).
+    A square, one tuple as both a and b as in m * m, packs once and squares
+    the int, which CPython does with about half the digit products of a
+    general multiply."""
     n = len(a)
     width = (n * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
     half, field, kept = 1 << width - 1, (1 << width) - 1, (1 << width * n) - 1
     shifts = range(0, width * n, width)
     packed = sum([x << s for x, s in zip(a, shifts)])
-    packed *= sum([x << s for x, s in zip(b, shifts)])
+    packed *= packed if b is a else sum([x << s for x, s in zip(b, shifts)])
     packed = packed + half * (kept // field) & kept  # + 2^(w-1) per field
     return tuple([(packed >> s & field) - half for s in shifts])
 
@@ -236,11 +243,23 @@ def macmahon(order: int) -> TruncatedSeries:
     """MacMahon's function prod_{k>=1} (1 - q^k)^(-k) up to q^order.
 
     The q^n coefficient counts plane partitions of n.  The series is one int
-    with coefficient n in bit field n of W = order + 1 bits, and each factor
-    (1 - q^k)^(-k) = sum_j C(j+k-1, j) q^(jk) is order // k + 1 shift-adds,
-    masked to order + 1 fields.  No kept field carries: field n of every
-    partial product is at most M_n < 2^(n+1) <= 2^W.  As sigma_2(n) <= 2^n
-    but at n = 2, 3, 4 (sigma_2(n) < 1.65 n^2 <= 2^n from n = 7 on),
+    with coefficient n in bit field n of W = order + 1 bits, and the factors
+    are applied in turn, masked to order + 1 fields.  The factor
+    (1 - q^k)^(-k) takes the shorter of two expansions, with m = order // k.
+    Binomially, sum_j C(j+k-1, j) q^(jk) is m shift-adds, each times a
+    binomial.  By doubling, it is k passes of 1/(1 - q^k) =
+    (1 + q^k)(1 + q^2k)(1 + q^4k)..., each m.bit_length() shift-adds (the
+    k * 2^t <= order), as in box_product.  Doubling is taken when
+    k * m.bit_length() < m, at order 100 for k <= 4.
+
+    No kept field carries.  Every partial product, on either route, is the
+    product of the factors done times a part of (1 - q^k)^(-k): a prefix of
+    its binomial sum, or some passes of 1/(1 - q^k) times a prefix of the
+    doubling product, which is a truncation of 1/(1 - q^k).  Every one of
+    these has coefficients >= 0 and is at most its full factor
+    coefficientwise, so the partial product is at most M, and field n is at
+    most M_n < 2^(n+1) <= 2^W.  As sigma_2(n) <= 2^n but at n = 2, 3, 4
+    (sigma_2(n) < 1.65 n^2 <= 2^n from n = 7 on),
     log M = sum_n sigma_2(n) q^n / n <= log 1/(1-2q) + E coefficientwise,
     E = q^2/2 + 2q^3/3 + 5q^4/4.  All these are nonnegative, so M <= exp(E)/(1-2q)
     and M_n <= sum_k [q^k]exp(E) 2^(n-k) <= 2^n exp(E(1/2)) = 2^n e^0.2865 < 2^(n+1).
@@ -249,8 +268,15 @@ def macmahon(order: int) -> TruncatedSeries:
     fields = (1 << width * (order + 1)) - 1
     a = 1
     for k in range(1, order + 1):
+        m = order // k
+        steps = m.bit_length()
+        if k * steps < m:  # k doubling passes of 1/(1 - q^k)
+            for _ in range(k):
+                for t in range(steps):
+                    a = (a + (a << width * (k << t))) & fields
+            continue
         out, term, c = a, a, 1
-        for j in range(1, order // k + 1):
+        for j in range(1, m + 1):
             c = c * (j + k - 1) // j  # C(j+k-1, j)
             term = (term << width * k) & fields  # a * q^(jk), truncated
             out += c * term

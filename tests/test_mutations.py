@@ -14,7 +14,9 @@ instead, and must still pass at order - 1.  The deep mutants fail only
 past tier-1's orders, so their test runs in the deep tier
 (``pytest -m deep``).  The mutants of the packed kernels and validators of
 ``quotbox/series.py`` run the same way, each against the check of
-``tests/test_series.py`` that rejects it.  The image-line mutant
+``tests/test_series.py`` that rejects it, and so does the mutant of the
+membership rule of ``quotbox/partitions.py``, against the box-ideal check
+of ``tests/test_partitions.py``.  The image-line mutant
 patches the module interface, ``ReflexiveParams.image_line``, instead
 of the source.
 The mutants of the listing walk (the walk with a visitor) leave the
@@ -34,17 +36,21 @@ import sys
 
 import pytest
 
+import quotbox.partitions
 import quotbox.quotfixed
 import quotbox.series
 import quotbox.verify
 from quotbox.reflexive import ReflexiveParams
 from quotbox.verify import verify_product_formula
+from test_partitions import check_box_ideals
 from test_series import check_box_product, check_macmahon, check_products, check_validators
 
 with open(quotbox.quotfixed.__file__) as fh:
     SOURCE = fh.read()
 with open(quotbox.series.__file__) as fh:
     SERIES_SOURCE = fh.read()
+with open(quotbox.partitions.__file__) as fh:
+    PARTITIONS_SOURCE = fh.read()
 
 KEY = "key = (held_a, full_a, tuple(labels), tuple(lines))"
 EDGE = "state[0] += series << (top - left) * width + free - open_free"
@@ -247,6 +253,15 @@ SERIES_MUTANTS = {
         "range((order // e).bit_length())", "range(((order - 1) // e).bit_length())",
         check_box_product, AssertionError,
     ),
+    # a * b read as a * a: one times the zero series reads one
+    "a product squared whenever the lengths match": (
+        "b is a", "len(b) == len(a)", check_products, AssertionError,
+    ),
+    # from order 3 on, where k = 1 doubles, 1/(1 - q) loses its last step
+    "macmahon's doubling passes one step short": (
+        "for t in range(steps):", "for t in range(steps - 1):", check_macmahon,
+        AssertionError,
+    ),
     # M_n < 2^n at every order from 1 to 1000, so width order is only
     # wrong at order 0, where it is 0 and the decode's step 0 raises; width
     # order - 1 raises at orders 0 and 1 and reads M_n wrong at 2 .. 9,
@@ -266,6 +281,15 @@ SERIES_MUTANTS = {
         "low is not None and (a < low or b < low or c < low)", "False", check_validators,
         AssertionError,
     ),
+}
+
+
+# label: (snippet of partitions.py, replacement, the check that rejects it,
+# the error it fails with), as in SERIES_MUTANTS; check_box_ideals is the
+# body of test_partitions.py's test_box_ideal_colengths_match_box_counts
+PARTITIONS_MUTANTS = {
+    # a generator is then outside its own ideal
+    "membership strict in x1": ("a >= g1", "a > g1", check_box_ideals, AssertionError),
 }
 
 
@@ -418,3 +442,19 @@ def test_unmutated_series_passes_the_checks():
     with mutant(width, width, SERIES_SOURCE, "quotbox._mutant_series") as module:
         for check in (check_products, check_box_product, check_macmahon, check_validators):
             check(module)
+
+
+@pytest.mark.parametrize("label", PARTITIONS_MUTANTS)
+def test_partitions_check_rejects_mutant(label):
+    snippet, replacement, check, error = PARTITIONS_MUTANTS[label]
+    with mutant(snippet, replacement, PARTITIONS_SOURCE, "quotbox._mutant_partitions") as module:
+        with pytest.raises(error):
+            check(module)
+    assert "quotbox._mutant_partitions" not in sys.modules
+
+
+def test_unmutated_partitions_passes_the_check():
+    # partitions.py run as a fresh module passes check_box_ideals
+    snippet = "a >= g1"
+    with mutant(snippet, snippet, PARTITIONS_SOURCE, "quotbox._mutant_partitions") as module:
+        check_box_ideals(module)

@@ -342,6 +342,24 @@ def test_enumerate_box_ideals(monkeypatch):
         enumerate_box_monomial_ideals((3, 3, 3))
 
 
+def check_box_ideals(partitions):
+    """On every box v <= (2, 2, 3), each monomial ideal of partitions'
+    antichain search has a colength equal to its count of box monomials
+    that contains rejects, and the colength tally is count_box_partitions(v)."""
+    for v in itertools.product((1, 2), (1, 2), (1, 2, 3)):
+        monomials = list(itertools.product(*map(range, v)))
+        tally = [0] * (len(monomials) + 1)
+        for ideal in partitions.enumerate_box_monomial_ideals(v):
+            outside = sum(not ideal.contains(m) for m in monomials)
+            assert ideal.colength() == outside, (v, ideal)
+            tally[outside] += 1
+        assert tally == partitions.count_box_partitions(v), v
+
+
+def test_box_ideal_colengths_match_box_counts():
+    check_box_ideals(partitions)
+
+
 def test_pair_counts():
     assert count_partition_pairs(5) == [1, 2, 7, 18, 47, 110]
     assert count_partition_pairs(0) == [1]

@@ -409,6 +409,12 @@ BAD_INPUTS = {
                                   "box coordinates"),
     "TruncatedSeries.monomial": (lambda x: TruncatedSeries.monomial(3, x), NATURALS,
                                  "exponent"),
+    "MonomialIdeal.contains": (lambda x: MonomialIdeal(((1, 0, 0),)).contains(x), CORNERS,
+                               "exponents"),
+    "TruncatedSeries.zero": (TruncatedSeries.zero, NATURALS, "order"),
+    "TruncatedSeries.one": (TruncatedSeries.one, NATURALS, "order"),
+    "TruncatedSeries.truncate": (lambda x: TruncatedSeries.one(3).truncate(x), NATURALS,
+                                 "order"),
     "macmahon": (macmahon, NATURALS, "order"),
     "guard": (lambda x: enumerate_plane_partitions(1, guard=x), NATURALS, "guard"),
     # the handler of quotbox count box, whose ValueError is its exit 2
